@@ -268,14 +268,10 @@ def _leaf_star_steps(tree: CompleteKTree, pre_informed: set[int]) -> list[list[C
                 calls.append(Call(src, dst, tuple(tree.path(src, dst))))
         for c in calls:
             informed.add(c.dst.id)
-            insort(informed_children[parent_of_leaf_id(tree, c.dst)], c.dst.id)
+            insort(informed_children[tree.parent(c.dst).id], c.dst.id)
             remaining -= 1
         steps.append(calls)
     return steps
-
-
-def parent_of_leaf_id(tree: CompleteKTree, leaf: VertexRef) -> int:
-    return tree.vertex_id(leaf.level - 1, (leaf.offset + tree.k - 1) // tree.k)
 
 
 def alg2(tree: CompleteKTree, u: VertexRef) -> Schedule:

@@ -246,17 +246,15 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef, start_time: int = 1) -> 
         # swap: if the originator idled, let it absorb the priciest call
         # it can run cheaper, edge-checked against the rest of the step
         if u.id not in used_sources and calls:
-            best = None
+            best_gain, best = 0, None
             for i, c in enumerate(calls):
                 upath = path_from_u(c.dst.offset)
                 gain = c.cost - len(upath)
-                if best is not None and gain <= best[0]:
-                    continue
-                others = used_edges.difference(c.path)
-                if gain > 0 and not others.intersection(upath):
-                    best = (gain, i, upath)
+                if gain > best_gain and all(
+                        e not in used_edges or e in c.path for e in upath):
+                    best_gain, best = gain, (i, upath)
             if best is not None:
-                _, i, upath = best
+                i, upath = best
                 old = calls[i]
                 calls[i] = Call(u, old.dst, tuple(upath))
                 used_edges.difference_update(old.path)
@@ -349,95 +347,93 @@ def _cbj_assign(
     """Pick one (source id, path) per variable, sources unique and paths
     pairwise edge-disjoint (and disjoint from fixed_edges), by backjumping.
 
-    Backjumps are conflict-directed: a dead end returns to the most recent
-    variable that holds one of its contested resources, carrying the
-    conflict set with it. Variables whose every option collides with
-    fixed_edges alone are left unassigned.
+    Options are tried in order, one budget unit each, as bitmasks encoded
+    on first try: a source or edge gets the next bit when first touched,
+    and the edges of fixed_edges share bit 0, which is always occupied.
+    Backjumps are conflict-directed (Prosser's CBJ): a dead end's blockers
+    are the committed variables whose pick meets the union of its options,
+    plus its inherited conflict set (a bitmask over variable indices); the
+    search returns to the latest blocker and hands it the rest. A variable
+    with no blocker, only fixed_edges in its way, is left unassigned. When
+    the budget runs out the answer is, without any flag, the first-fit
+    assignment: each variable takes its first option that fits.
     """
     n = len(var_options)
+    bit: dict[int, int] = {}  # keyed by edge id, or by -id for a source
+    owner: dict[int, int] = {}  # bit -> the variable that last committed it
+
+    def encode(sid: int, path: tuple[int, ...]) -> int:
+        mask = 0
+        for key in (-sid, *path):
+            b = bit.get(key)
+            if b is None:
+                b = bit[key] = 0 if key in fixed_edges else len(bit) + 1
+            mask |= 1 << b
+        return mask
+
+    encoded: list[list[int]] = [[] for _ in range(n)]
+    union = [0] * n  # of the options encoded so far
     picked: list[tuple[int, tuple[int, ...]] | None] = [None] * n
+    held = [0] * n  # the mask of picked
     cursor = [0] * n
     given_up = [False] * n
-    conflict: list[set[int]] = [set() for _ in range(n)]
-    source_holder: dict[int, int] = {}
-    edge_holder: dict[int, int] = {}
-    edge_load: dict[int, int] = {e: 1 for e in fixed_edges}
-
-    def fits(sid, path) -> bool:
-        if sid in source_holder:
-            return False
-        return all(edge_load.get(e, 0) == 0 for e in path)
-
-    def commit(idx, sid, path):
-        picked[idx] = (sid, path)
-        source_holder[sid] = idx
-        for e in path:
-            edge_load[e] = edge_load.get(e, 0) + 1
-            edge_holder[e] = idx
-
-    def uncommit(idx):
-        sid, path = picked[idx]
-        picked[idx] = None
-        del source_holder[sid]
-        for e in path:
-            edge_load[e] -= 1
-            edge_holder.pop(e, None)
+    conflict = [0] * n
+    occupied = 1
 
     idx = 0
-    while 0 <= idx < n and budget > 0:
+    while idx < n and budget > 0:
         if picked[idx] is not None or given_up[idx]:
             idx += 1
             continue
-        placed = False
-        while cursor[idx] < len(var_options[idx]):
-            sid, path = var_options[idx][cursor[idx]]
-            cursor[idx] += 1
+        options, masks = var_options[idx], encoded[idx]
+        for c in range(cursor[idx], len(options)):
+            if c == len(masks):
+                masks.append(encode(*options[c]))
+                union[idx] |= masks[c]
             budget -= 1
-            if fits(sid, path):
-                commit(idx, sid, path)
-                placed = True
+            if not masks[c] & occupied:
                 break
-        if placed:
-            idx += 1
+        else:
+            # a dead end; bit 0, the fixed edges, has no owner
+            blockers = conflict[idx]
+            hits = union[idx] & (occupied ^ 1)
+            while hits:
+                v = owner[hits.bit_length() - 1]
+                blockers |= 1 << v
+                hits &= ~held[v]
+            cursor[idx], conflict[idx] = 0, 0
+            if not blockers:
+                given_up[idx] = True  # nothing movable is in the way
+                idx += 1
+                continue
+            back = blockers.bit_length() - 1
+            conflict[back] |= blockers ^ (1 << back)
+            for v in range(back, idx):
+                occupied ^= held[v]
+                held[v], picked[v] = 0, None
+            for v in range(back + 1, idx):
+                cursor[v], given_up[v], conflict[v] = 0, False, 0
+            idx = back
             continue
-        blockers = set(conflict[idx])
-        for sid, path in var_options[idx]:
-            holder = source_holder.get(sid)
-            if holder is not None:
-                blockers.add(holder)
-            for e in path:
-                holder = edge_holder.get(e)
-                if holder is not None:
-                    blockers.add(holder)
-        blockers.discard(idx)
-        cursor[idx] = 0
-        conflict[idx] = set()
-        lower = [b for b in blockers if b < idx]
-        if not lower:
-            given_up[idx] = True  # nothing movable is in the way
-            idx += 1
-            continue
-        back = max(lower)
-        conflict[back].update(b for b in blockers if b != back)
-        for i2 in range(idx - 1, back, -1):
-            if picked[i2] is not None:
-                uncommit(i2)
-            cursor[i2] = 0
-            given_up[i2] = False
-            conflict[i2] = set()
-        uncommit(back)
-        idx = back
+        cursor[idx] = c + 1
+        sid, path = picked[idx] = options[c]
+        held[idx] = masks[c]
+        occupied |= masks[c]
+        for key in (-sid, *path):
+            owner[bit[key]] = idx
+        idx += 1
 
     if budget <= 0:
-        # settle for the greedy assignment that is known to fit
-        for i in range(n):
-            if picked[i] is not None:
-                uncommit(i)
-            cursor[i] = 0
-        for i in range(n):
-            for sid, path in var_options[i]:
-                if fits(sid, path):
-                    commit(i, sid, path)
+        # settle for the first-fit assignment
+        picked = [None] * n
+        occupied = 1
+        for i, options in enumerate(var_options):
+            masks = encoded[i]
+            for c, option in enumerate(options):
+                mask = masks[c] if c < len(masks) else encode(*option)
+                if not mask & occupied:
+                    picked[i] = option
+                    occupied |= mask
                     break
     return picked
 
@@ -447,7 +443,6 @@ def merge_upcalls(
     j: int,
     u: VertexRef,
     steps: list[list[Call]],
-    hard: bool | None = None,
 ) -> tuple[list[list[Call]], list[Call]]:
     """Fold the fan-up step into the final step of a to_level run.
 
@@ -464,8 +459,7 @@ def merge_upcalls(
     fold cheaper. Anything still unplaced is returned for a dedicated
     extra step.
     """
-    if hard is None:
-        hard = u.level == 0  # the step budget is only asserted from the root
+    hard = u.level == 0  # the step budget is only asserted from the root
     k = tree.k
     last = steps[-1]
     prev = list(steps[-2]) if len(steps) >= 2 and hard else None
@@ -611,8 +605,7 @@ def merge_upcalls(
         for c in prev:
             prev_edges.update(c.path)
         prev_backup = list(prev)
-        informed_backup = set(informed_before)
-        batch_backup = list(batch)
+        first_picks = picks
 
         def displaced_delivery(dst: VertexRef, batch_now) -> Call | None:
             """Serve dst in the final step from its parent, when a pull
@@ -751,13 +744,10 @@ def merge_upcalls(
         if score == 0:
             final = list(batch)
         else:
+            # no full fold: undo the pulls and keep the first solve's picks
             prev[:] = prev_backup
-            informed_before.clear()
-            informed_before.update(informed_backup)
-            batch = batch_backup
             open_assignments = list(assignments)
-            picks = solve_fixed_batch(assignments, last)
-            final = list(last)
+            picks = first_picks
 
     deferred: list[Call] = []
     for a, p in zip(open_assignments, picks):

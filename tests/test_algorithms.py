@@ -1,5 +1,7 @@
 """End-to-end schedule builders and the dispatcher."""
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -148,6 +150,36 @@ def test_alg3_root_time_is_limit():
         assert validate(s).ok
         assert s.total_time() == ceil_log2(t.n), (k, r)
         assert s.total_cost() <= math.floor(alg3_upper(k, r))
+
+
+# The operations whose fan-up fold search ran longest when the search's
+# bookkeeping was rewritten (five run its 500k-node budget out; the (3,4)
+# leaf stops at about 172k nodes), pinned to the schedules built before the
+# rewrite: SHA-256 of the JSON list of steps, each a list of
+# [source id, destination id, path], with the cost and the step count.
+SLOW_FOLDS = [
+    ("alg3", 3, 4, 1, 284, 7,
+     "27f6f3a48307d8918a377fb1a547a0e29fb1bba8894a28222d25fe7400f49f7d"),
+    ("alg2", 3, 5, 1, 608, 9,
+     "09078c7f28e19411b0772635167b3c60e137b92adb9ad5390b98acf37ff1f412"),
+    ("alg3", 6, 3, 1, 614, 9,
+     "a9e6b7bcc47c7cbdab71b322f020e79feda8c6250fce7d70660ab9fb949b14c2"),
+    ("alg3", 2, 5, 47, 191, 7,
+     "4970dcc755cdfc08a8d8942d21c9ee93e81a2eadfeb3708a07cb076c3b8e32e1"),
+    ("alg3", 3, 4, 81, 314, 8,
+     "6d3d9533a6a93343348212297162fbba4cdc3badd1097a70c86b1d64223bed49"),
+    ("alg3", 3, 5, 4, 969, 10,
+     "a0c027dd7a5193d5047af4a4297987554eccf4ff0920a3ff32a82ff9a60c907e"),
+]
+
+
+@pytest.mark.parametrize("name,k,r,uid,cost,steps,digest", SLOW_FOLDS)
+def test_slow_fold_schedules_unchanged(name, k, r, uid, cost, steps, digest):
+    t = new(k, r)
+    s = {"alg2": alg2, "alg3": alg3}[name](t, t.vertex_by_id(uid))
+    trace = [[[c.src.id, c.dst.id, list(c.path)] for c in st.calls] for st in s.steps]
+    assert hashlib.sha256(json.dumps(trace).encode()).hexdigest() == digest
+    assert (s.total_cost(), len(s.steps)) == (cost, steps)
 
 
 def test_lbckt_dispatch():

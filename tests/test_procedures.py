@@ -17,6 +17,7 @@ from linebroadcast import (
 )
 from linebroadcast.bounds import ceil_log2, fromlevel_cost, tolevel_upper
 from linebroadcast.errors import OutOfRange, PreconditionViolated
+from linebroadcast.procedures import _cbj_assign
 
 
 def as_schedule(tree, u, frag, tag="frag"):
@@ -227,3 +228,39 @@ def test_merge_cost_is_tolevel_plus_fanup():
     merged_cost = sum(c.cost for calls in steps for c in calls)
     assert deferred == []
     assert merged_cost <= math.floor(tolevel_upper(k, r)) + fromlevel_cost(k, r, True)
+
+
+# -- fold search -------------------------------------------------------------
+# Each variable's options are (source id, path) pairs, tried in order. The
+# expected picks were recorded before the search's bookkeeping was rewritten.
+
+# v2's only option needs v0's first edge; v1 shares nothing with either
+SKIP = [
+    [(10, (1,)), (11, (2,))],
+    [(20, (5,)), (21, (6,)), (22, (7,))],
+    [(30, (1,))],
+]
+
+
+def test_cbj_backjump_skips_unrelated_variable():
+    solved = [(11, (2,)), (20, (5,)), (30, (1,))]
+    assert _cbj_assign(SKIP, set()) == solved
+    # six options tried: v0, v1, v2 (dead end), back over v1 to v0's second
+    # option, then v1 and v2; backtracking through v1's other options first
+    # would try ten
+    assert _cbj_assign(SKIP, set(), budget=7) == solved
+
+
+def test_cbj_budget_out_returns_first_fit():
+    # the budget runs out on the option that completes the search, so its
+    # answer is dropped for first fit
+    assert _cbj_assign(SKIP, set(), budget=6) == [(10, (1,)), (20, (5,)), None]
+
+
+def test_cbj_gives_up_on_fixed_edges_only():
+    options = [
+        [(10, (1,))],
+        [(11, (9,)), (12, (8, 9))],
+        [(13, (2,))],
+    ]
+    assert _cbj_assign(options, {9}) == [(10, (1,)), None, (13, (2,))]
