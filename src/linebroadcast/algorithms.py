@@ -18,38 +18,11 @@ only.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 
-from .bounds import ceil_log2, tree_size
+from .bounds import DispatchCase, ceil_log2, lbckt_case
 from .ktree import CompleteKTree, VertexRef
 from .schedule import Call, Schedule, make_call
 from .procedures import merge_upcalls, to_level
-
-
-@dataclass(frozen=True)
-class DispatchCase:
-    """Which scheme the dispatcher picks, with the guard values it compared."""
-
-    label: str
-    number: int
-    # (step budget ceil(log2 n), alg1 time, alg2 time)
-    condition_values: tuple[int, int, int]
-
-
-def lbckt_case(k: int, r: int) -> DispatchCase:
-    """Evaluate the two dispatch guards with exact integer arithmetic."""
-    n = tree_size(k, r)
-    limit = ceil_log2(n)
-    lam = ceil_log2(k + 1)
-    alg1_time = r * lam
-    alg2_time = ceil_log2(n - k**r) + lam
-    if alg1_time <= limit:
-        number = 1
-    elif alg2_time <= limit:
-        number = 2
-    else:
-        number = 3
-    return DispatchCase(f"alg{number}", number, (limit, alg1_time, alg2_time))
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,18 @@
 Every formula lives in Fraction space; ceilings of base-2 logarithms come
 from integer bit length, so nothing in this module touches floating point.
 Schedule costs are integers, so callers compare them against floor(bound).
+The dispatcher's guards (lbckt_case) live here too: they need only the
+step budget and the scheme times, and the report names the scheme they
+pick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .errors import OutOfRange
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .algorithms import DispatchCase
 
 
 def ceil_log2(x: int) -> int:
@@ -26,6 +26,32 @@ def ceil_log2(x: int) -> int:
 
 def tree_size(k: int, r: int) -> int:
     return (k ** (r + 1) - 1) // (k - 1)
+
+
+@dataclass(frozen=True)
+class DispatchCase:
+    """Which scheme the dispatcher picks, with the guard values it compared."""
+
+    label: str
+    number: int
+    # (step budget ceil(log2 n), alg1 time, alg2 time)
+    condition_values: tuple[int, int, int]
+
+
+def lbckt_case(k: int, r: int) -> DispatchCase:
+    """Evaluate the two dispatch guards with exact integer arithmetic."""
+    n = tree_size(k, r)
+    limit = ceil_log2(n)
+    lam = ceil_log2(k + 1)
+    alg1_time = r * lam
+    alg2_time = ceil_log2(n - k**r) + lam
+    if alg1_time <= limit:
+        number = 1
+    elif alg2_time <= limit:
+        number = 2
+    else:
+        number = 3
+    return DispatchCase(f"alg{number}", number, (limit, alg1_time, alg2_time))
 
 
 def time_limit(n: int) -> int:
@@ -143,7 +169,7 @@ class BoundsReport:
     time_limit: int
     farley: int
     lower: Fraction
-    case: "DispatchCase"
+    case: DispatchCase
     upper_alg1: Fraction
     upper_alg2: Optional[Fraction]
     upper_alg3: Fraction
@@ -160,8 +186,6 @@ class BoundsReport:
 
 
 def report(k: int, r: int, leaf_originator: bool = False) -> BoundsReport:
-    from .algorithms import lbckt_case  # local import avoids a module cycle
-
     n = tree_size(k, r)
     tol = {r: tolevel_upper(k, r)}
     fromc = {r: fromlevel_cost(k, r, True)}

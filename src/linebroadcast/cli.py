@@ -87,10 +87,6 @@ def schedule_from_dict(data: dict) -> Schedule:
     return sched
 
 
-def _frac_str(x) -> str:
-    return str(x)
-
-
 def _frac_decimal(x) -> str:
     return f"{float(x):.10g}"
 
@@ -169,17 +165,17 @@ def cmd_bounds(args) -> int:
     print(f"k={rep.k} r={rep.r} n={rep.n}")
     print(f"time_limit      {rep.time_limit}")
     print(f"farley_bound    {rep.farley}")
-    print(f"lower_bound     {_frac_str(rep.lower)} ({_frac_decimal(rep.lower)})")
+    print(f"lower_bound     {str(rep.lower)} ({_frac_decimal(rep.lower)})")
     print(f"case            {rep.case.label}")
-    print(f"alg1_upper      {_frac_str(rep.upper_alg1)} ({_frac_decimal(rep.upper_alg1)})")
+    print(f"alg1_upper      {str(rep.upper_alg1)} ({_frac_decimal(rep.upper_alg1)})")
     if rep.upper_alg2 is not None:
-        print(f"alg2_upper      {_frac_str(rep.upper_alg2)} ({_frac_decimal(rep.upper_alg2)})")
+        print(f"alg2_upper      {str(rep.upper_alg2)} ({_frac_decimal(rep.upper_alg2)})")
     else:
         print("alg2_upper      n/a (needs r >= 2)")
-    print(f"alg3_upper      {_frac_str(rep.upper_alg3)} ({_frac_decimal(rep.upper_alg3)})")
+    print(f"alg3_upper      {str(rep.upper_alg3)} ({_frac_decimal(rep.upper_alg3)})")
     for j in sorted(rep.tolevel_upper):
         v = rep.tolevel_upper[j]
-        print(f"tolevel_upper(j={j})   {_frac_str(v)} ({_frac_decimal(v)})")
+        print(f"tolevel_upper(j={j})   {str(v)} ({_frac_decimal(v)})")
     for j in sorted(rep.fromlevel_cost):
         print(f"fromlevel_cost(j={j})  {rep.fromlevel_cost[j]}")
     return 0
@@ -208,7 +204,7 @@ def _sweep_cell(cell: tuple[int, int, int]) -> tuple[tuple[int, int, int], str, 
         sched.algorithm_tag, str(case.number),
         str(sched.total_time()), str(rep.time_limit),
         str(sched.total_cost()),
-        _frac_str(rep.lower), _frac_str(rep.dispatched_upper()),
+        str(rep.lower), str(rep.dispatched_upper()),
         str(rep.farley),
         str(report.ok).lower(),
         ";".join(sched.deviations),
@@ -278,11 +274,11 @@ def cmd_oracle(args) -> int:
     for step in witness.steps:
         line = ", ".join(f"{c} path={list(c.path)} cost={c.cost}" for c in step.calls)
         print(f"t={step.t}: {line}")
-    print(f"lower_bound={_frac_str(bracket.lower)} ({_frac_decimal(bracket.lower)})")
+    print(f"lower_bound={str(bracket.lower)} ({_frac_decimal(bracket.lower)})")
     print(f"algorithm_costs=" + ",".join(
         f"{name}:{cost}" for name, cost in sorted(bracket.algorithm_costs.items())))
     print(f"dispatched={bracket.dispatched_label} "
-          f"upper={_frac_str(bracket.dispatched_upper)}")
+          f"upper={str(bracket.dispatched_upper)}")
     print(f"bracket_ok={str(bracket.ok).lower()}")
     return 0 if bracket.ok else 2
 

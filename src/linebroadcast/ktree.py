@@ -116,9 +116,6 @@ class CompleteKTree:
         span = self.k ** (v.level - target_level)
         return self.vertex(target_level, (v.offset - 1) // span + 1)
 
-    def is_leaf(self, v: VertexRef) -> bool:
-        return v.level == self.r
-
     def path(self, a: VertexRef, b: VertexRef) -> list[int]:
         """Edges of the unique simple path a -> b, as child ids in travel order."""
         if a.id == b.id:
@@ -139,11 +136,6 @@ class CompleteKTree:
             y = self.parent(y)
         down.reverse()
         return up + down
-
-    def dist(self, a: VertexRef, b: VertexRef) -> int:
-        if a.id == b.id:
-            return 0
-        return len(self.path(a, b))
 
     def level_vertices(self, j: int) -> list[VertexRef]:
         if not 0 <= j <= self.r:

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import ceil_log2, lower_bound
+from .algorithms import alg1, alg2, alg3
+from .bounds import ceil_log2, lbckt_case, lower_bound, report
 from .errors import OutOfRange, TooLarge
 from .ktree import CompleteKTree, VertexRef
 from .schedule import Call, Schedule, validate
@@ -182,9 +183,6 @@ class BracketReport:
 
 def check_bracket(tree: CompleteKTree, u: VertexRef, cap: int = ORACLE_CAP) -> BracketReport:
     """Verify the bound bracket around the searched optimum for one instance."""
-    from . import bounds
-    from .algorithms import alg1, alg2, alg3, lbckt_case
-
     budget = ceil_log2(tree.n)
     opt, witness = optimal_cost(tree, u, cap=cap)
     witness_ok = validate(witness).ok
@@ -197,9 +195,9 @@ def check_bracket(tree: CompleteKTree, u: VertexRef, cap: int = ORACLE_CAP) -> B
         times[name] = sched.total_time()
 
     case = lbckt_case(tree.k, tree.r)
-    rep = bounds.report(tree.k, tree.r)
+    rep = report(tree.k, tree.r)
     upper = rep.dispatched_upper()
-    low = bounds.lower_bound(tree.k, tree.r)
+    low = lower_bound(tree.k, tree.r)
 
     ok = (
         witness_ok

@@ -21,14 +21,16 @@ merge_upcalls folds the from_level step into the last to_level step when the
 step budget requires it, substituting same-subtree sources (or the
 originator, or a detour) when the designated source is busy or too fresh,
 and trading calls with the previous step when the final step alone cannot
-hold everything; whatever still cannot be placed is returned for a
-dedicated follow-up step.
+hold everything: a fan-up call moves up a step, and the level delivery it
+displaces moves down to a window sibling. Whatever still cannot be placed
+is returned for a dedicated follow-up step.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import OutOfRange, PreconditionViolated
 from .ktree import CompleteKTree, VertexRef
@@ -40,13 +42,28 @@ class Fragment:
     """A run of consecutive steps meant to be spliced into a schedule."""
 
     steps: list[list[Call]]
-    start_time: int = 1
 
     def duration(self) -> int:
         return len(self.steps)
 
     def cost(self) -> int:
         return sum(c.cost for step in self.steps for c in step)
+
+
+def _nearest_first(pool: list[int], q: int, lo: int = 0, hi: int | None = None):
+    """The values of the sorted pool[lo:hi], nearest to q first, a tie
+    going to the lower value."""
+    if hi is None:
+        hi = len(pool)
+    below = bisect_left(pool, q, lo, hi) - 1
+    above = below + 1
+    while below >= lo or above < hi:
+        if above >= hi or (below >= lo and q - pool[below] <= pool[above] - q):
+            yield pool[below]
+            below -= 1
+        else:
+            yield pool[above]
+            above += 1
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +121,7 @@ def _round_target_list(k: int, j: int, m: int) -> list[int]:
     ]
 
 
-def to_level(tree: CompleteKTree, j: int, u: VertexRef, start_time: int = 1) -> Fragment:
+def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
     """Broadcast from u to exactly the vertices of level j.
 
     The delivery order is fixed up front: rounds ascending, stripes within
@@ -119,8 +136,6 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef, start_time: int = 1) -> 
     """
     if not 1 <= j <= tree.r:
         raise OutOfRange(f"level {j} not in [1, {tree.r}]")
-    if start_time < 1:
-        raise OutOfRange(f"start_time {start_time} must be >= 1")
     k = tree.k
     size = k**j
     vertex = tree.vertex
@@ -176,7 +191,6 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef, start_time: int = 1) -> 
         calls: list[Call] = []
         used_sources: set[int] = set()
         used_edges: set[int] = set()
-        served: set[int] = set()
 
         def place(path, src_vertex, q_off: int) -> bool:
             for e in path:
@@ -185,7 +199,6 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef, start_time: int = 1) -> 
             calls.append(Call(src_vertex, vertex(j, q_off), tuple(path)))
             used_sources.add(src_vertex.id)
             used_edges.update(path)
-            served.add(q_off)
             return True
 
         def match_in_range(q_off: int, lvl: int) -> bool:
@@ -197,21 +210,8 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef, start_time: int = 1) -> 
             inner = span // k
             inner_lo = ((q_off - 1) // inner) * inner + 1 if inner else q_off
             inner_hi = inner_lo + inner - 1 if inner else q_off
-            li = bisect_left(pool, lo_off)
-            ri = bisect_left(pool, hi_off + 1)
-            pos = bisect_left(pool, q_off)
-            lo_p, hi_p = pos - 1, pos
-            while lo_p >= li or hi_p < ri:
-                if lo_p < li:
-                    idx = hi_p
-                    hi_p += 1
-                elif hi_p >= ri or q_off - pool[lo_p] <= pool[hi_p] - q_off:
-                    idx = lo_p
-                    lo_p -= 1
-                else:
-                    idx = hi_p
-                    hi_p += 1
-                c_off = pool[idx]
+            for c_off in _nearest_first(pool, q_off, bisect_left(pool, lo_off),
+                                        bisect_left(pool, hi_off + 1)):
                 if inner_lo <= c_off <= inner_hi:
                     continue  # tried at a tighter radius already
                 if base[j] + c_off in used_sources:
@@ -272,7 +272,7 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef, start_time: int = 1) -> 
         pending = [off for off in pending if not informed[off]]
         steps.append(calls)
 
-    return Fragment(steps, start_time)
+    return Fragment(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +313,6 @@ def from_level(
     tree: CompleteKTree,
     j: int,
     u: VertexRef,
-    at_time: int = 1,
     informed: set[int] | None = None,
 ) -> Fragment:
     """One step of fan-up calls informing all of levels 0..j-1.
@@ -336,7 +335,7 @@ def from_level(
             continue
         src = tree.vertex(j, a.leaf_offset)
         calls.append(Call(src, target, tuple(tree.path(src, target))))
-    return Fragment([calls], at_time)
+    return Fragment([calls])
 
 
 def _cbj_assign(
@@ -453,11 +452,10 @@ def merge_upcalls(
     assignment is found by conflict-directed backjumping. When the final
     step provably cannot hold every call, fan-up calls are pulled into the
     previous step in exchange for level deliveries moved the other way; a
-    pulled target is informed in time to source a final-step call itself,
-    to a neighbouring target or to the delivery just displaced below it.
-    Once everything fits, further pulls are kept only while they make the
-    fold cheaper. Anything still unplaced is returned for a dedicated
-    extra step.
+    pulled target is informed in time to source a final-step call itself
+    or to a neighbouring target. Once everything fits, further pulls are
+    kept only while they make the fold cheaper. Anything still unplaced is
+    returned for a dedicated extra step.
     """
     hard = u.level == 0  # the step budget is only asserted from the root
     k = tree.k
@@ -467,9 +465,6 @@ def merge_upcalls(
     for step in steps[:-1]:
         informed_before.update(c.dst.id for c in step)
     batch_busy = {c.src.id for c in last}
-    batch_edges: set[int] = set()
-    for c in last:
-        batch_edges.update(c.path)
     level_base = tree.vertex_id(j, 1) - 1
 
     def subtree_span(a: UpcallAssignment) -> tuple[int, int]:
@@ -497,23 +492,6 @@ def merge_upcalls(
             if level_base + off in informed_before
         )
 
-    def nearest_offsets(pool: list[int], q_off: int, limit: int):
-        pos = bisect_left(pool, q_off)
-        lo_p, hi_p = pos - 1, pos
-        count = 0
-        while (lo_p >= 0 or hi_p < len(pool)) and count < limit:
-            if lo_p < 0:
-                off = pool[hi_p]
-                hi_p += 1
-            elif hi_p >= len(pool) or q_off - pool[lo_p] <= pool[hi_p] - q_off:
-                off = pool[lo_p]
-                lo_p -= 1
-            else:
-                off = pool[hi_p]
-                hi_p += 1
-            yield off
-            count += 1
-
     def upcall_options(a: UpcallAssignment, skip_busy: set[int], pool: list[int],
                        raised: list[VertexRef]):
         lo, hi = subtree_span(a)
@@ -536,7 +514,7 @@ def merge_upcalls(
         # detour sources outside the target's own subtree: pricier paths,
         # but they can dodge a saturated subtree
         extras = 0
-        for off in nearest_offsets(pool, lo, 96):
+        for off in islice(_nearest_first(pool, lo), 96):
             if lo <= off <= hi:
                 continue
             sid = level_base + off
@@ -594,93 +572,63 @@ def merge_upcalls(
         # The final step cannot hold everything. Move fan-up calls into the
         # previous step: a previous-step delivery whose caller sits under
         # (or routes through) the fan-up target hands its slot over, and the
-        # displaced delivery runs in the final step off its parent, if that
-        # was pulled, or a sibling. A pulled target can itself source a
-        # final-step fan-up call over its own edges, which relieves the
-        # scarce entry edges above the level-j windows. Each trial swap is
-        # kept only when the re-solved fold leaves fewer calls unplaced, or
-        # as many at a lower cost.
+        # displaced delivery runs in the final step off a window sibling. A
+        # pulled target can itself source a final-step fan-up call over its
+        # own edges, which relieves the scarce entry edges above the level-j
+        # windows. Each trial swap is kept only when the re-solved fold
+        # leaves fewer calls unplaced, or as many at a lower cost.
         batch = list(last)
-        prev_edges: set[int] = set()
-        for c in prev:
-            prev_edges.update(c.path)
         prev_backup = list(prev)
         first_picks = picks
 
-        def displaced_delivery(dst: VertexRef, batch_now) -> Call | None:
-            """Serve dst in the final step from its parent, when a pull
-            informed that parent a step early, else from a window sibling."""
-            w_lo = ((dst.offset - 1) // k) * k + 1
-            busy_now = {c.src.id for c in batch_now}
+        def displaced_delivery(dst: VertexRef) -> Call | None:
+            """Serve dst in the final step from an idle window sibling."""
+            busy_now = {c.src.id for c in batch}
             edges_now: set[int] = set()
-            for c in batch_now:
+            for c in batch:
                 edges_now.update(c.path)
-            parent = tree.parent(dst)
-            if (parent.id in informed_before and parent.id not in busy_now
-                    and dst.id not in edges_now):
-                return Call(parent, dst, (dst.id,))
+            if dst.id in edges_now:
+                return None
+            w_lo = ((dst.offset - 1) // k) * k + 1
             for off in range(w_lo, w_lo + k):
                 sid = level_base + off
-                if sid == dst.id or sid not in informed_before:
-                    continue
-                if sid in busy_now:
-                    continue
-                path = (sid, dst.id)
-                if sid in edges_now or dst.id in edges_now:
-                    continue
-                return Call(tree.vertex(j, off), dst, path)
+                if (sid != dst.id and sid in informed_before
+                        and sid not in busy_now and sid not in edges_now):
+                    return Call(tree.vertex(j, off), dst, (sid, dst.id))
             return None
 
         def pull_choices(b: UpcallAssignment):
             """Previous-step swaps that could carry b: any caller whose old
             call's released edges cover the new path (its own call usually
-            does most of the covering), own-subtree sources first. A caller
-            whose delivery sources a final-step call keeps it."""
+            does most of the covering). A caller whose delivery sources a
+            final-step call keeps it."""
             target = tree.vertex(b.target_level, b.target_offset)
-            blo, bhi = subtree_span(b)
-            in_subtree = []
-            outside = []
-            for ci, c in enumerate(prev):
-                if c.dst.level != j:
-                    continue
-                if c.src.level == j and blo <= c.src.offset <= bhi:
-                    in_subtree.append((ci, c))
-                else:
-                    outside.append((ci, c))
+            prev_edges = {e for c in prev for e in c.path}
             busy_now = {c.src.id for c in batch}
-            for ci, c in in_subtree + outside:
-                if c.dst.id in busy_now:
+            for ci, c in enumerate(prev):
+                if c.dst.level != j or c.dst.id in busy_now:
                     continue
                 up_path = tree.path(c.src, target)
-                rest_edges = prev_edges.difference(c.path)
-                if any(e in rest_edges for e in up_path):
+                if any(e in prev_edges and e not in c.path for e in up_path):
                     continue
-                moved = displaced_delivery(c.dst, batch)
-                if moved is None:
-                    continue
-                yield b, ci, c, up_path, moved
+                moved = displaced_delivery(c.dst)
+                if moved is not None:
+                    yield b, ci, c, up_path, moved
 
-        def apply_pull(choice):
-            nonlocal prev_edges
+        def apply_pull(choice) -> None:
             b, ci, c, up_path, moved = choice
             target = tree.vertex(b.target_level, b.target_offset)
-            undo = (b, ci, c, set(prev_edges), c.dst.id in informed_before)
             prev[ci] = Call(c.src, target, tuple(up_path))
-            prev_edges = prev_edges.difference(c.path).union(up_path)
             informed_before.discard(c.dst.id)
             informed_before.add(target.id)
             batch.append(moved)
             open_assignments.remove(b)
-            return undo
 
-        def revert_pull(undo):
-            nonlocal prev_edges
-            b, ci, c, edges, was_informed = undo
+        def revert_pull(choice) -> None:
+            b, ci, c, _, _ = choice
             informed_before.discard(prev[ci].dst.id)
             prev[ci] = c
-            prev_edges = edges
-            if was_informed:
-                informed_before.add(c.dst.id)
+            informed_before.add(c.dst.id)
             batch.pop()
             open_assignments.append(b)
 
@@ -709,37 +657,34 @@ def merge_upcalls(
 
         score = sum(p is None for p in picks)
         cost = fold_cost(picks)
-        trials = 60
-        while trials > 0:
+
+        def keep_a_pull() -> bool:
+            """Keep the first pull whose re-solved fold beats (score,
+            cost); False when none does."""
+            nonlocal picks, score, cost
             stuck = [a for a, p in zip(open_assignments, picks) if p is None]
             if stuck:
                 pools = [pull_pool(a) for a in stuck]
             else:
                 # everything fits: look for pulls that make the fold cheaper
                 pools = [sorted(open_assignments, key=lambda b: -b.i)]
-            moved = False
             for pool_b in pools:
                 for b in pool_b:
                     for choice in pull_choices(b):
-                        if trials <= 0:
-                            break
-                        trials -= 1
-                        undo = apply_pull(choice)
+                        apply_pull(choice)
                         trial_picks = solve_fixed_batch(open_assignments, batch)
                         trial = (sum(p is None for p in trial_picks),
                                  fold_cost(trial_picks))
                         if trial < (score, cost):
                             picks = trial_picks
                             score, cost = trial
-                            moved = True
-                            break
-                        revert_pull(undo)
-                    if moved or trials <= 0:
-                        break
-                if moved or trials <= 0:
-                    break
-            if not moved:
-                break
+                            return True
+                        revert_pull(choice)
+            return False
+
+        # each kept pull takes a target off open_assignments, so this ends
+        while keep_a_pull():
+            pass
 
         if score == 0:
             final = list(batch)

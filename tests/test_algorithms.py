@@ -152,11 +152,17 @@ def test_alg3_root_time_is_limit():
         assert s.total_cost() <= math.floor(alg3_upper(k, r))
 
 
-# The operations whose fan-up fold search ran longest when the search's
-# bookkeeping was rewritten (five run its 500k-node budget out; the (3,4)
-# leaf stops at about 172k nodes), pinned to the schedules built before the
-# rewrite: SHA-256 of the JSON list of steps, each a list of
-# [source id, destination id, path], with the cost and the step count.
+# Fan-up fold paths pinned byte for byte: SHA-256 of the JSON list of
+# steps, each a list of [source id, destination id, path], with the cost
+# and the step count. The first six are the operations whose fold search
+# ran longest when the search's bookkeeping was rewritten (five run its
+# 500k-node budget out; the (3,4) leaf stops at about 172k nodes), and
+# the (3,4) alg3 and (3,5) alg2 roots fold through the previous-step
+# exchange. The (3,3), (3,5) and (5,3) alg3 roots enter that exchange and
+# give it up. The (6,3) alg2 run from vertex 151 keeps its step only
+# through a detour source outside the target's subtree. The (3,3) alg2 run
+# from vertex 10 changes if the nearest-first walk breaks a tie toward the
+# higher offset instead of the lower one.
 SLOW_FOLDS = [
     ("alg3", 3, 4, 1, 284, 7,
      "27f6f3a48307d8918a377fb1a547a0e29fb1bba8894a28222d25fe7400f49f7d"),
@@ -170,6 +176,16 @@ SLOW_FOLDS = [
      "6d3d9533a6a93343348212297162fbba4cdc3badd1097a70c86b1d64223bed49"),
     ("alg3", 3, 5, 4, 969, 10,
      "a0c027dd7a5193d5047af4a4297987554eccf4ff0920a3ff32a82ff9a60c907e"),
+    ("alg3", 3, 3, 1, 92, 6,
+     "871a9f9146d1605a2e2c4fe25cc6baed0af71d35e80088ab746d9beaed7d6811"),
+    ("alg3", 3, 5, 1, 1012, 9,
+     "aaacf54de33109c68eacee9f05deb6174e2eec60cd4314f01abc41dda35ad48f"),
+    ("alg3", 5, 3, 1, 378, 8,
+     "b501a77fa5934f6b338097a59a4fedce47ee058c2106802be5132cb6f288b7e9"),
+    ("alg2", 6, 3, 151, 421, 9,
+     "9cf13cc1674c5309ee38045d3270d503d0d6ef3fd02e3284f8dea12860ac95da"),
+    ("alg2", 3, 3, 10, 63, 6,
+     "8f23fb268f741c5f2a6a887cb4978560a693d22cd44efdc3011943555bbaad81"),
 ]
 
 

@@ -93,8 +93,6 @@ def test_to_level_rejects_bad_args():
         to_level(t, 0, t.root)
     with pytest.raises(OutOfRange):
         to_level(t, 3, t.root)
-    with pytest.raises(OutOfRange):
-        to_level(t, 1, t.root, start_time=0)
 
 
 @pytest.mark.parametrize("k,j", [(k, j) for k in range(2, 9) for j in range(1, 5)])
