@@ -1,12 +1,12 @@
 """Arithmetic model of a complete k-ary tree with breadth-first vertex ids.
 
-No adjacency is stored: every structural query (parent, children, ancestor,
-path) is pure index arithmetic on (level, offset) pairs, so a tree with tens
-of thousands of vertices costs a few integers. Vertices are numbered 1..n in
-breadth-first order with the root at id 1; offsets are 1-based inside each
-level. An edge is canonically identified by the id of its deeper endpoint,
-which makes a path a plain list of ints and per-step edge-disjointness a set
-intersection.
+No adjacency is stored: every structural query (parent, children, ancestor)
+is pure index arithmetic on (level, offset) pairs, and path climbs
+breadth-first ids, so a tree with tens of thousands of vertices costs a few
+integers. Vertices are numbered 1..n in breadth-first order with the root at
+id 1; offsets are 1-based inside each level. An edge is canonically
+identified by the id of its deeper endpoint, which makes a path a plain list
+of ints and per-step edge-disjointness a set intersection.
 """
 
 from __future__ import annotations
@@ -117,23 +117,25 @@ class CompleteKTree:
         return self.vertex(target_level, (v.offset - 1) // span + 1)
 
     def path(self, a: VertexRef, b: VertexRef) -> list[int]:
-        """Edges of the unique simple path a -> b, as child ids in travel order."""
+        """Edges of the unique simple path a -> b, as child ids in travel order.
+
+        A vertex's ancestors all have smaller ids, so while the two ids
+        differ the larger one lies below the lowest common ancestor and
+        climbs to its parent, (v - 2) // k + 1.
+        """
         if a.id == b.id:
             raise SameVertex(f"path({a}, {b}) is empty")
+        k = self.k
         up: list[int] = []
         down: list[int] = []
-        x, y = a, b
-        while x.level > y.level:
-            up.append(x.id)
-            x = self.parent(x)
-        while y.level > x.level:
-            down.append(y.id)
-            y = self.parent(y)
-        while x.id != y.id:
-            up.append(x.id)
-            x = self.parent(x)
-            down.append(y.id)
-            y = self.parent(y)
+        x, y = a.id, b.id
+        while x != y:
+            if x > y:
+                up.append(x)
+                x = (x - 2) // k + 1
+            else:
+                down.append(y)
+                y = (y - 2) // k + 1
         down.reverse()
         return up + down
 

@@ -139,36 +139,7 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
     k = tree.k
     size = k**j
     vertex = tree.vertex
-    base = [tree.vertex_id(lvl, 1) - 1 for lvl in range(j + 1)]
-    u_is_root = u.level == 0
-
-    def level_path(a_off: int, b_off: int) -> list[int]:
-        """Edge ids between two level-j vertices, in travel order."""
-        up: list[int] = []
-        down: list[int] = []
-        lvl = j
-        ao, bo = a_off, b_off
-        while ao != bo:
-            up.append(base[lvl] + ao)
-            down.append(base[lvl] + bo)
-            ao = (ao + k - 1) // k
-            bo = (bo + k - 1) // k
-            lvl -= 1
-        down.reverse()
-        return up + down
-
-    def path_from_u(q_off: int) -> list[int]:
-        if u_is_root:
-            chain: list[int] = []
-            o = q_off
-            for lvl in range(j, 0, -1):
-                chain.append(base[lvl] + o)
-                o = (o + k - 1) // k
-            chain.reverse()
-            return chain
-        if u.level == j:
-            return level_path(u.offset, q_off)
-        return tree.path(u, vertex(j, q_off))
+    base = tree.vertex_id(j, 1) - 1
 
     u_off = u.offset if u.level == j else None
     informed = bytearray(size + 1)
@@ -192,12 +163,13 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
         used_sources: set[int] = set()
         used_edges: set[int] = set()
 
-        def place(path, src_vertex, q_off: int) -> bool:
+        def place(src: VertexRef, q: VertexRef) -> bool:
+            path = tree.path(src, q)
             for e in path:
                 if e in used_edges:
                     return False
-            calls.append(Call(src_vertex, vertex(j, q_off), tuple(path)))
-            used_sources.add(src_vertex.id)
+            calls.append(Call(src, q, tuple(path)))
+            used_sources.add(src.id)
             used_edges.update(path)
             return True
 
@@ -210,13 +182,14 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
             inner = span // k
             inner_lo = ((q_off - 1) // inner) * inner + 1 if inner else q_off
             inner_hi = inner_lo + inner - 1 if inner else q_off
+            q = vertex(j, q_off)
             for c_off in _nearest_first(pool, q_off, bisect_left(pool, lo_off),
                                         bisect_left(pool, hi_off + 1)):
                 if inner_lo <= c_off <= inner_hi:
                     continue  # tried at a tighter radius already
-                if base[j] + c_off in used_sources:
+                if base + c_off in used_sources:
                     continue
-                if place(level_path(c_off, q_off), vertex(j, c_off), q_off):
+                if place(vertex(j, c_off), q):
                     return True
             return False
 
@@ -238,7 +211,7 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
         # one-way path has the smallest edge footprint), and only then do
         # through-the-root relays mop up
         if unserved and u.id not in used_sources:
-            if place(path_from_u(unserved[0]), u, unserved[0]):
+            if place(u, vertex(j, unserved[0])):
                 unserved = unserved[1:]
         for q_off in unserved:
             match_in_range(q_off, 0)
@@ -248,7 +221,7 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
         if u.id not in used_sources and calls:
             best_gain, best = 0, None
             for i, c in enumerate(calls):
-                upath = path_from_u(c.dst.offset)
+                upath = tree.path(u, c.dst)
                 gain = c.cost - len(upath)
                 if gain > best_gain and all(
                         e not in used_edges or e in c.path for e in upath):
@@ -375,15 +348,11 @@ def _cbj_assign(
     picked: list[tuple[int, tuple[int, ...]] | None] = [None] * n
     held = [0] * n  # the mask of picked
     cursor = [0] * n
-    given_up = [False] * n
     conflict = [0] * n
     occupied = 1
 
     idx = 0
     while idx < n and budget > 0:
-        if picked[idx] is not None or given_up[idx]:
-            idx += 1
-            continue
         options, masks = var_options[idx], encoded[idx]
         for c in range(cursor[idx], len(options)):
             if c == len(masks):
@@ -402,8 +371,7 @@ def _cbj_assign(
                 hits &= ~held[v]
             cursor[idx], conflict[idx] = 0, 0
             if not blockers:
-                given_up[idx] = True  # nothing movable is in the way
-                idx += 1
+                idx += 1  # nothing movable is in the way: leave it unassigned
                 continue
             back = blockers.bit_length() - 1
             conflict[back] |= blockers ^ (1 << back)
@@ -411,7 +379,7 @@ def _cbj_assign(
                 occupied ^= held[v]
                 held[v], picked[v] = 0, None
             for v in range(back + 1, idx):
-                cursor[v], given_up[v], conflict[v] = 0, False, 0
+                cursor[v], conflict[v] = 0, 0
             idx = back
             continue
         cursor[idx] = c + 1
@@ -501,11 +469,7 @@ def merge_upcalls(
         for v in sorted(raised, key=lambda v: (len(tree.path(v, target)), v.id)):
             if v.id not in skip_busy:
                 out.append((v.id, tuple(tree.path(v, target))))
-        offs = [a.leaf_offset] + sorted(
-            (o for o in range(lo, hi + 1) if o != a.leaf_offset),
-            key=lambda o: (abs(o - a.leaf_offset), o),
-        )
-        for off in offs:
+        for off in _nearest_first(range(lo, hi + 1), a.leaf_offset):
             sid = level_base + off
             if sid in informed_before and sid not in skip_busy:
                 out.append((sid, tuple(tree.path(tree.vertex(j, off), target))))
@@ -643,15 +607,15 @@ def merge_upcalls(
             lo, hi = subtree_span(a)
             pool_b = sorted(
                 (b for b in open_assignments
-                 if b.i > a.i and (b.t - 1) * k**b.i + 1 <= lo
-                 and hi <= b.t * k**b.i),
+                 if b.i > a.i and subtree_span(b)[0] <= lo
+                 and hi <= subtree_span(b)[1]),
                 key=lambda b: b.i,
             )
             pool_b += [b for b in open_assignments if b is a]
             pool_b += [
                 b for b in open_assignments
                 if b is not a and b.i < a.i
-                and lo <= (b.t - 1) * k**b.i + 1 and b.t * k**b.i <= hi
+                and lo <= subtree_span(b)[0] and subtree_span(b)[1] <= hi
             ]
             return pool_b
 

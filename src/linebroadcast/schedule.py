@@ -60,6 +60,7 @@ class ViolationKind(str, enum.Enum):
     MULTI_SEND = "MultiSend"
     INCOMPLETE_COVERAGE = "IncompleteCoverage"
     TIME_BUDGET_EXCEEDED = "TimeBudgetExceeded"
+    PATH_MISMATCH = "PathMismatch"
 
     def __str__(self):
         return self.value
@@ -158,6 +159,13 @@ def validate(
                               f"vertex {call.dst.id} receives twice")
                 )
             dests_seen.add(call.dst.id)
+            # a call to itself has no path, and is flagged above already
+            if (call.src.id != call.dst.id
+                    and list(call.path) != schedule.tree.path(call.src, call.dst)):
+                violations.append(
+                    Violation(step.t, ViolationKind.PATH_MISMATCH,
+                              f"call {call} does not travel the tree path")
+                )
             for edge in call.path:
                 if edge in edges_used:
                     violations.append(

@@ -90,6 +90,11 @@ def test_path_examples():
     assert t.path(v(4), v(5)) == [4, 5]
     assert t.path(v(1), v(7)) == [3, 7]
     assert t.path(v(4), v(7)) == [4, 2, 3, 7]
+    t3 = new(3, 2)
+    v3 = t3.vertex_by_id
+    assert t3.path(v3(5), v3(4)) == [5, 2, 4]
+    assert t3.path(v3(13), v3(1)) == [13, 4]
+    assert t3.path(v3(7), v3(8)) == [7, 2, 3, 8]
     with pytest.raises(SameVertex):
         t.path(v(4), v(4))
 
@@ -143,14 +148,22 @@ def test_path_symmetry_and_length(params, data):
     fwd = t.path(a, b)
     rev = t.path(b, a)
     assert fwd == rev[::-1]
-    # length equals level(a) + level(b) - 2 * level(lca)
+    # reference: walk both ends up with parent() to the lowest common
+    # ancestor, collecting the edges on the way
+    up, down = [], []
     x, y = a, b
     while x.level > y.level:
+        up.append(x.id)
         x = t.parent(x)
     while y.level > x.level:
+        down.append(y.id)
         y = t.parent(y)
     while x.id != y.id:
+        up.append(x.id)
+        down.append(y.id)
         x, y = t.parent(x), t.parent(y)
+    assert fwd == up + down[::-1]
+    # length equals level(a) + level(b) - 2 * level(lca)
     assert len(fwd) == a.level + b.level - 2 * x.level
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from linebroadcast import Schedule, ViolationKind, make_call, new, validate
+from linebroadcast import Call, Schedule, ViolationKind, make_call, new, validate
 from linebroadcast.errors import OutOfRange
 
 
@@ -47,6 +47,18 @@ def test_validate_double_receive_and_edge_conflict():
     assert (2, ViolationKind.DOUBLE_RECEIVE) in kinds
     assert (2, ViolationKind.EDGE_CONFLICT) in kinds
     assert len(rep.violations) == 2
+
+
+@pytest.mark.parametrize("path2,path3", [((), ()), ((3,), (2,))])
+def test_validate_path_mismatch(path2, path3):
+    # empty paths, or single-edge paths swapped between the two calls
+    t = star3()
+    s = Schedule(t, t.root, "demo")
+    s.append_step([Call(t.root, t.vertex_by_id(2), path2)])
+    s.append_step([Call(t.root, t.vertex_by_id(3), path3)])
+    rep = validate(s)
+    assert [(v.step, v.kind) for v in rep.violations] == [
+        (1, ViolationKind.PATH_MISMATCH), (2, ViolationKind.PATH_MISMATCH)]
 
 
 def test_validate_uninformed_source():
