@@ -20,7 +20,7 @@ from . import bounds
 from .algorithms import alg1, alg2, alg3, lbckt, lbckt_case
 from .errors import LineBroadcastError, TooLarge
 from .ktree import CompleteKTree
-from .oracle import check_bracket, optimal_cost
+from .oracle import ORACLE_CAP, check_bracket, optimal_cost
 from .procedures import from_level, to_level
 from .schedule import Call, Schedule, validate
 
@@ -324,7 +324,7 @@ def build_parser() -> _Parser:
     orc.add_argument("--r", type=int, required=True)
     orc.add_argument("--originator", type=int, default=1)
     orc.add_argument("--budget", type=int, default=None)
-    orc.add_argument("--cap", type=int, default=7)
+    orc.add_argument("--cap", type=int, default=ORACLE_CAP)
     orc.set_defaults(func=cmd_oracle)
 
     return parser

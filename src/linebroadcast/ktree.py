@@ -123,12 +123,14 @@ class CompleteKTree:
         differ the larger one lies below the lowest common ancestor and
         climbs to its parent, (v - 2) // k + 1.
         """
-        if a.id == b.id:
+        x, y = a.id, b.id
+        if not (0 < x <= self.n and 0 < y <= self.n):
+            raise OutOfRange(f"path({a}, {b}): ids must be in [1, {self.n}]")
+        if x == y:
             raise SameVertex(f"path({a}, {b}) is empty")
         k = self.k
         up: list[int] = []
         down: list[int] = []
-        x, y = a.id, b.id
         while x != y:
             if x > y:
                 up.append(x)

@@ -1,11 +1,18 @@
 """Exhaustive minimum-cost search over valid minimum-time schedules.
 
-Ground truth for tiny trees: a depth-first enumeration over the call sets of
-each step, memoised on a canonical form of the informed set (sibling
-subtrees are interchangeable, so states are encoded as recursively sorted
-subtree shapes). Distinct successor states are deduplicated per step with
-their cheapest call set, and states that cannot finish within the remaining
+Ground truth for small trees: a depth-first search over the informed sets
+each step can reach, memoised on a canonical form of the informed set
+(sibling subtrees are interchangeable, so states are encoded as recursively
+sorted subtree shapes). States that cannot finish within the remaining
 steps (informed count can at most double per step) are cut immediately.
+
+A step's options come from one bottom-up pass over edge states, not from
+listing call sets. Within a step each tree edge carries nothing, one path up
+or one path down (unit-capacity routing on a tree), so the pass gives every
+reachable next informed set with the fewest edges any call set reaching it
+uses. The witness re-runs the pass with the step's destinations fixed,
+reads off every edge's state, and pairs senders with receivers where their
+paths meet to realize one call set at exactly that cost.
 """
 
 from __future__ import annotations
@@ -18,84 +25,150 @@ from .algorithms import alg1, alg2, alg3
 from .bounds import ceil_log2, lbckt_case, lower_bound, report
 from .errors import OutOfRange, TooLarge
 from .ktree import CompleteKTree, VertexRef
-from .schedule import Call, Schedule, validate
+from .schedule import Schedule, make_call, validate
 
-ORACLE_CAP = 7
+ORACLE_CAP = 15
 _INF = float("inf")
 
 
 class _Searcher:
     def __init__(self, tree: CompleteKTree):
-        self.tree = tree
         self.n = tree.n
         self.full = (1 << tree.n) - 1
-        self.pair_cost: dict[tuple[int, int], int] = {}
-        self.pair_edges: dict[tuple[int, int], int] = {}
-        self.pair_path: dict[tuple[int, int], tuple[int, ...]] = {}
-        for s in range(1, tree.n + 1):
-            sv = tree.vertex_by_id(s)
-            for d in range(1, tree.n + 1):
-                if d == s:
-                    continue
-                path = tree.path(sv, tree.vertex_by_id(d))
-                mask = 0
-                for e in path:
-                    mask |= 1 << e
-                self.pair_cost[(s, d)] = len(path)
-                self.pair_edges[(s, d)] = mask
-                self.pair_path[(s, d)] = tuple(path)
+        k = tree.k
+        # children of v in breadth-first ids; empty for a leaf
+        self.kids = [range(0)] + [
+            range((v - 1) * k + 2, min(v * k + 1, tree.n) + 1) for v in range(1, tree.n + 1)
+        ]
         self._canon_cache: dict[int, tuple] = {}
         self._memo: dict[tuple, float] = {}
 
     def canon(self, mask: int) -> tuple:
-        """Informed-set signature invariant under sibling-subtree swaps."""
+        """Informed-set signature invariant under sibling-subtree swaps.
+
+        A vertex's signature is its bit followed by its children's
+        signatures, sorted; vertices of one level have equally many
+        children, so the flat tuple is unambiguous.
+        """
         hit = self._canon_cache.get(mask)
         if hit is not None:
             return hit
-        tree = self.tree
+        kids = self.kids
 
-        def enc(vid: int, level: int) -> tuple:
-            bit = (mask >> (vid - 1)) & 1
-            if level == tree.r:
-                return (bit,)
-            _, off = tree.locate(vid)
-            first = tree.vertex_id(level + 1, (off - 1) * tree.k + 1)
-            kids = tuple(sorted(enc(c, level + 1) for c in range(first, first + tree.k)))
-            return (bit, kids)
+        def enc(v: int) -> tuple:
+            return ((mask >> (v - 1)) & 1, *sorted(enc(c) for c in kids[v]))
 
-        sig = enc(1, 0)
+        sig = enc(1)
         self._canon_cache[mask] = sig
         return sig
 
-    def step_options(self, mask: int) -> dict[int, tuple[int, tuple]]:
-        """All reachable next informed-sets with their cheapest call set."""
-        n = self.n
-        informed = [i for i in range(1, n + 1) if (mask >> (i - 1)) & 1]
-        uninformed = [i for i in range(1, n + 1) if not (mask >> (i - 1)) & 1]
-        cands = [(s, d) for s in informed for d in uninformed]
-        options: dict[int, tuple[int, tuple]] = {}
+    def step_options(self, mask: int) -> dict[int, int]:
+        """Every reachable next informed set with the cost of its cheapest call set.
 
-        def gen(idx, smask, dmask, emask, cost, nmask, chosen):
-            if idx == len(cands):
-                if nmask != mask:
-                    prev = options.get(nmask)
-                    if prev is None or cost < prev[0]:
-                        options[nmask] = (cost, chosen)
-                return
-            gen(idx + 1, smask, dmask, emask, cost, nmask, chosen)
-            s, d = cands[idx]
-            sbit = 1 << (s - 1)
-            dbit = 1 << (d - 1)
-            if smask & sbit or dmask & dbit:
-                return
-            em = self.pair_edges[(s, d)]
-            if emask & em:
-                return
-            gen(idx + 1, smask | sbit, dmask | dbit, emask | em,
-                cost + self.pair_cost[(s, d)], nmask | dbit, chosen + ((s, d),))
+        One bottom-up pass over edge states. The edge above v carries one
+        path up (+1), one path down (-1) or nothing (0); tables[v] maps that
+        state to {destinations inside v's subtree: fewest edges used}. Paths
+        entering v (from children, from above, or v's own send) equal those
+        leaving it, so pairing them gives edge-disjoint calls from informed
+        senders to uninformed receivers costing one per edge used.
+        """
+        kids = self.kids
+        tables: list[dict[int, dict[int, int]]] = [{}] * (self.n + 1)
+        for v in range(self.n, 0, -1):
+            # fold in the children: {sum of child states: {dests: cost}};
+            # v's own choice and its parent edge each move the sum by at
+            # most one, so a sum the remaining children cannot bring back
+            # within 2 is dropped
+            acc: dict[int, dict[int, int]] = {0: {0: 0}}
+            left = len(kids[v])
+            for c in kids[v]:
+                left -= 1
+                nxt: dict[int, dict[int, int]] = {}
+                for bal, rows in acc.items():
+                    for state, crows in tables[c].items():
+                        if abs(bal + state) > left + 2:
+                            continue
+                        out = nxt.setdefault(bal + state, {})
+                        for d1, c1 in rows.items():
+                            for d2, c2 in crows.items():
+                                dests, cost = d1 | d2, c1 + c2
+                                if cost < out.get(dests, _INF):
+                                    out[dests] = cost
+                tables[c] = {}
+                acc = nxt
+            # v sends once (+1) if informed, else may receive once (-1)
+            bit = 1 << (v - 1)
+            table: dict[int, dict[int, int]] = {}
+            for bal, rows in acc.items():
+                for own in (0, 1) if mask & bit else (0, -1):
+                    state = bal + own
+                    if state not in (-1, 0, 1) or (v == 1 and state):
+                        continue
+                    out = table.setdefault(state, {})
+                    gain = bit if own < 0 else 0
+                    for dests, cost in rows.items():
+                        dests |= gain
+                        cost += state != 0
+                        if cost < out.get(dests, _INF):
+                            out[dests] = cost
+            tables[v] = table
+        return {mask | dests: cost for dests, cost in tables[1].get(0, {}).items() if dests}
 
-        gen(0, 0, 0, 0, 0, mask, ())
-        return options
+    def realize(self, mask: int, nmask: int) -> list[tuple[int, int]]:
+        """One cheapest edge-disjoint call set informing exactly nmask & ~mask.
+
+        The same pass with the destinations fixed keeps, per vertex and
+        parent-edge state, its children's states; read top-down, those give
+        every edge's state. Then, bottom-up, each vertex pairs the senders
+        and receivers whose paths meet there and passes the one left over,
+        if any, across the edge above it.
+        """
+        n, kids = self.n, self.kids
+        best: list[dict[int, tuple[int, tuple[int, ...], int]]] = [{} for _ in range(n + 1)]
+        for v in range(n, 0, -1):
+            acc: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
+            for c in kids[v]:
+                nxt: dict[int, tuple[int, tuple[int, ...]]] = {}
+                for bal, (cost, states) in acc.items():
+                    for state, (ccost, _, _) in best[c].items():
+                        total = cost + ccost
+                        if total < nxt.get(bal + state, (_INF,))[0]:
+                            nxt[bal + state] = (total, states + (state,))
+                acc = nxt
+            bit = 1 << (v - 1)
+            choices = (0, 1) if mask & bit else (-1,) if nmask & bit else (0,)
+            for bal, (cost, states) in acc.items():
+                for o in choices:
+                    state = bal + o
+                    if state not in (-1, 0, 1) or (v == 1 and state):
+                        continue
+                    total = cost + (state != 0)
+                    if total < best[v].get(state, (_INF,))[0]:
+                        best[v][state] = (total, states, o)
+
+        # top-down: every edge's state and every vertex's own choice
+        edge = [0] * (n + 1)
+        own = [0] * (n + 1)
+        for v in range(1, n + 1):
+            _, states, own[v] = best[v][edge[v]]
+            for c, state in zip(kids[v], states):
+                edge[c] = state
+        # bottom-up: the end of the one path crossing the edge above v
+        crossing = [0] * (n + 1)
+        calls = []
+        for v in range(n, 0, -1):
+            senders = [crossing[c] for c in kids[v] if edge[c] > 0]
+            receivers = [crossing[c] for c in kids[v] if edge[c] < 0]
+            if own[v] > 0:
+                senders.append(v)
+            elif own[v] < 0:
+                receivers.append(v)
+            if edge[v] > 0:
+                crossing[v] = senders.pop()
+            elif edge[v] < 0:
+                crossing[v] = receivers.pop()
+            calls += zip(senders, receivers)
+        return sorted(calls)
 
     def best(self, mask: int, steps_left: int) -> float:
         if mask == self.full:
@@ -109,7 +182,7 @@ class _Searcher:
         if hit is not None:
             return hit
         value = _INF
-        for nmask, (cost, _) in self.step_options(mask).items():
+        for nmask, cost in self.step_options(mask).items():
             sub = self.best(nmask, steps_left - 1)
             if sub < _INF:
                 value = min(value, cost + sub)
@@ -144,17 +217,17 @@ def optimal_cost(
     mask, steps_left, owed = start, budget, total
     while mask != searcher.full:
         pick = None
-        for nmask, (cost, chosen) in sorted(searcher.step_options(mask).items()):
+        for nmask, cost in sorted(searcher.step_options(mask).items()):
             sub = searcher.best(nmask, steps_left - 1)
             if sub < _INF and cost + sub == owed:
-                pick = (nmask, cost, chosen)
+                pick = (nmask, cost)
                 break
         assert pick is not None
-        nmask, cost, chosen = pick
-        witness.append_step(
-            [Call(tree.vertex_by_id(s), tree.vertex_by_id(d), searcher.pair_path[(s, d)])
-             for s, d in chosen]
-        )
+        nmask, cost = pick
+        calls = [make_call(tree, tree.vertex_by_id(s), tree.vertex_by_id(d))
+                 for s, d in searcher.realize(mask, nmask)]
+        assert sum(c.cost for c in calls) == cost
+        witness.append_step(calls)
         mask, steps_left, owed = nmask, steps_left - 1, owed - cost
     return int(total), witness
 

@@ -168,5 +168,9 @@ def test_oracle_cli(capsys):
     assert code == 0
     assert "optimal_cost=4" in out
 
-    code, _, err = run_cli(capsys, "oracle", "--k", "3", "--r", "2")
+    code, out, _ = run_cli(capsys, "oracle", "--k", "3", "--r", "2")
+    assert code == 0
+    assert "optimal_cost=16" in out
+
+    code, _, err = run_cli(capsys, "oracle", "--k", "2", "--r", "4")
     assert code == 5

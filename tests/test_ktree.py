@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linebroadcast import CompleteKTree, new
+from linebroadcast import CompleteKTree, VertexRef, new
 from linebroadcast.errors import (
     InvalidParams,
     LeafHasNoChildren,
@@ -97,6 +97,17 @@ def test_path_examples():
     assert t3.path(v3(7), v3(8)) == [7, 2, 3, 8]
     with pytest.raises(SameVertex):
         t.path(v(4), v(4))
+
+
+def test_path_rejects_out_of_range_ids():
+    # id 0 is its own parent under the id climb, so an unchecked id never meets
+    t = new(2, 2)
+    for bad in (-1, 0, t.n + 1):
+        stray = VertexRef(0, 1, bad)
+        with pytest.raises(OutOfRange):
+            t.path(stray, t.vertex_by_id(4))
+        with pytest.raises(OutOfRange):
+            t.path(t.vertex_by_id(4), stray)
 
 
 def test_level_vertices():

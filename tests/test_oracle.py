@@ -1,9 +1,90 @@
-"""Exhaustive minimum-cost search on tiny trees."""
+"""Exhaustive minimum-cost search on small trees."""
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from linebroadcast import alg1, alg2, alg3, check_bracket, new, optimal_cost, validate
+from linebroadcast.bounds import ceil_log2
 from linebroadcast.errors import TooLarge
+from linebroadcast.oracle import _Searcher
+
+
+def enumerated_options(tree, mask):
+    """Reference for `_Searcher.step_options`: list every edge-disjoint call
+    set one (sender, receiver) pair at a time, keeping the cheapest per
+    next informed set."""
+    n = tree.n
+    pairs = {}
+    for s in range(1, n + 1):
+        for d in range(1, n + 1):
+            if s != d:
+                path = tree.path(tree.vertex_by_id(s), tree.vertex_by_id(d))
+                pairs[(s, d)] = (sum(1 << e for e in path), len(path))
+    informed = [i for i in range(1, n + 1) if (mask >> (i - 1)) & 1]
+    uninformed = [i for i in range(1, n + 1) if not (mask >> (i - 1)) & 1]
+    cands = [(s, d) for s in informed for d in uninformed]
+    options = {}
+
+    def gen(idx, smask, dmask, emask, cost, nmask):
+        if idx == len(cands):
+            if nmask != mask and cost < options.get(nmask, cost + 1):
+                options[nmask] = cost
+            return
+        gen(idx + 1, smask, dmask, emask, cost, nmask)
+        s, d = cands[idx]
+        sbit, dbit = 1 << (s - 1), 1 << (d - 1)
+        edges, length = pairs[(s, d)]
+        if smask & sbit or dmask & dbit or emask & edges:
+            return
+        gen(idx + 1, smask | sbit, dmask | dbit, emask | edges, cost + length, nmask | dbit)
+
+    gen(0, 0, 0, 0, 0, mask)
+    return options
+
+
+@pytest.mark.parametrize("k,r", [(2, 1), (3, 1), (4, 1), (2, 2)])
+def test_step_options_match_enumeration_on_every_mask(k, r):
+    t = new(k, r)
+    searcher = _Searcher(t)
+    for mask in range(1, 1 << t.n):
+        assert searcher.step_options(mask) == enumerated_options(t, mask), mask
+
+
+_T32 = new(3, 2)
+
+
+@seed(6)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, (1 << _T32.n) - 1))
+def test_step_options_match_enumeration_on_random_masks(mask):
+    assert _Searcher(_T32).step_options(mask) == enumerated_options(_T32, mask)
+
+
+@pytest.mark.parametrize("k,r", [(2, 2), (3, 1), (3, 2)])
+def test_witness_steps_realize_their_options(k, r):
+    t = new(k, r)
+    searcher = _Searcher(t)
+    for uid in range(1, t.n + 1):
+        _, witness = optimal_cost(t, t.vertex_by_id(uid))
+        mask = 1 << (uid - 1)
+        for step in witness.steps:
+            gained = sum(1 << (c.dst.id - 1) for c in step.calls)
+            assert gained & mask == 0 and len(step.calls) == bin(gained).count("1")
+            nmask = mask | gained
+            assert sum(c.cost for c in step.calls) == searcher.step_options(mask)[nmask]
+            mask = nmask
+        assert validate(witness).ok
+
+
+@pytest.mark.parametrize("k,r,per_level", [(3, 2, [16, 16, 18]), (2, 3, [19, 19, 20, 22])])
+def test_optimum_per_originator_level(k, r, per_level):
+    t = new(k, r)
+    for level, want in enumerate(per_level):
+        cost, witness = optimal_cost(t, t.vertex(level, t.level_size(level)), cap=15)
+        assert cost == want
+        assert validate(witness).ok
+        assert witness.total_cost() == cost
+        assert witness.total_time() <= ceil_log2(t.n)
 
 
 def test_optimal_small_fixtures():
@@ -52,7 +133,7 @@ def test_unit_chain_with_unbounded_time():
 
 
 def test_cap():
-    t = new(3, 2)
+    t = new(2, 4)  # n = 31, above the default cap of 15
     with pytest.raises(TooLarge):
         optimal_cost(t, t.root)
     # raising the cap is the caller's own risk
