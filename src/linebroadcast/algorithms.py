@@ -33,10 +33,12 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
     k, r = tree.k, tree.r
     n = tree.n
     lam = ceil_log2(k + 1)
-    root = tree.root
     power_of_two = (k & (k - 1)) == 0
+    climb, by_id = tree.climb, tree.vertex_by_id
     sched = Schedule(tree, u, "alg1")
 
+    # the loops below work on breadth-first ids: the children of v are
+    # k(v-1)+2 .. k(v-1)+k+1, and a VertexRef is made only for a placed call
     informed = bytearray(n + 1)
     informed[u.id] = 1
     informed_count = 1
@@ -49,12 +51,11 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
     # uninformed-children count per internal vertex id (lazy default k)
     rem_children: dict[int, int] = {}
 
-    def parent_id(v: VertexRef) -> int:
-        return tree.vertex_id(v.level - 1, (v.offset + k - 1) // k)
+    def parent_id(v: int) -> int:
+        return (v - 2) // k + 1
 
-    def first_child_id(vid: int, level: int) -> int:
-        _, off = tree.locate(vid)
-        return tree.vertex_id(level + 1, (off - 1) * k + 1)
+    def first_child_id(v: int) -> int:
+        return k * (v - 1) + 2
 
     def level_ids(level: int) -> list[int]:
         if dirty[level]:
@@ -68,12 +69,13 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
     # two (then the root is picked up by the closing call instead)
     deep = u.level >= 2
     if deep and not power_of_two:
-        call = make_call(tree, u, root)
+        call = make_call(tree, u, tree.root)
         steps.append([call])
         informed[1] = 1
         informed_count += 1
         by_level[0].append(1)
         sched.deviations.append(f"alg1:originator-relay-cost={call.cost}")
+    u_anc = tree.ancestor_at_level(u, 1).id if deep else None
 
     late: list[int] = []          # vertices whose round has already passed
     swept_through = 0             # levels 0..swept_through already swept into late
@@ -92,28 +94,26 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
         used_edges: set[int] = set()
         serving: set[int] = set()
 
-        def place(src: VertexRef, dst: VertexRef) -> bool:
-            path = tree.path(src, dst)
-            if any(e in used_edges for e in path):
+        def place(src: int, dst: int) -> bool:
+            path = climb(src, dst, used_edges)
+            if path is None:
                 return False
-            calls.append(Call(src, dst, tuple(path)))
-            used_src.add(src.id)
+            calls.append(Call(by_id(src), by_id(dst), tuple(path)))
+            used_src.add(src)
             used_edges.update(path)
-            serving.add(dst.id)
+            serving.add(dst)
             return True
 
         # deep-originator assist: keep feeding level 1 while it is incomplete
         if deep and u.id not in used_src:
             lvl1 = level_ids(1)
             if len(lvl1) < k:
-                anc = tree.ancestor_at_level(u, 1)
-                if not informed[anc.id] and anc.id not in serving:
-                    place(u, anc)
+                if not informed[u_anc] and u_anc not in serving:
+                    place(u.id, u_anc)
                 if u.id not in used_src:
-                    base = tree.vertex_id(1, 1)
-                    for vid in range(base, base + k):
+                    for vid in range(2, k + 2):
                         if not informed[vid] and vid not in serving:
-                            if place(u, tree.vertex_by_id(vid)):
+                            if place(u.id, vid):
                                 break
 
         # stragglers: vertices shallower than the current round, root excluded
@@ -132,12 +132,11 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
                 if vid in serving:
                     still_late.append(vid)
                     continue
-                v = tree.vertex_by_id(vid)
                 placed = False
-                anc = v
-                while anc.level > 0:
-                    anc = tree.parent(anc)
-                    if informed[anc.id] and anc.id not in used_src and place(anc, v):
+                anc = vid
+                while anc > 1:
+                    anc = parent_id(anc)
+                    if informed[anc] and anc not in used_src and place(anc, vid):
                         placed = True
                         break
                 if not placed:
@@ -150,10 +149,10 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
             for pid in level_ids(lvl):
                 if rem_children.get(pid, k) == 0 or pid in used_src:
                     continue
-                first = first_child_id(pid, lvl)
+                first = first_child_id(pid)
                 for cid in range(first, first + k):
                     if not informed[cid] and cid not in serving:
-                        place(tree.vertex_by_id(pid), tree.vertex_by_id(cid))
+                        place(pid, cid)
                         break
 
         # informed children relay to siblings through the parent (cost 2)
@@ -162,16 +161,15 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
             for wid in level_ids(lvl):
                 if wid in used_src:
                     continue
-                w = tree.vertex_by_id(wid)
-                pid = parent_id(w)
+                pid = parent_id(wid)
                 if rem_children.get(pid, k) == 0:
                     continue
                 if not informed[pid] and lvl != 1:
                     continue
-                first = first_child_id(pid, lvl - 1)
+                first = first_child_id(pid)
                 for sid in range(first, first + k):
                     if not informed[sid] and sid not in serving:
-                        place(w, tree.vertex_by_id(sid))
+                        place(wid, sid)
                         break
 
         # closing call: once only the root is missing, a level-1 vertex
@@ -180,19 +178,18 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
             if n - informed_count == len(serving) + 1:
                 done = False
                 for vid in level_ids(1):
-                    if vid not in used_src and place(tree.vertex_by_id(vid), root):
+                    if vid not in used_src and place(vid, 1):
                         done = True
                         break
                 if not done and u.id not in used_src:
-                    place(u, root)
+                    place(u.id, 1)
 
         if not calls:
             # safety net: any informed vertex can reach any uninformed one
             target = next(vid for vid in range(1, n + 1) if not informed[vid])
-            src = u if u.id not in used_src else tree.vertex_by_id(
-                next(vid for vid in range(1, n + 1) if informed[vid])
-            )
-            place(src, tree.vertex_by_id(target))
+            src = u.id if u.id not in used_src else next(
+                vid for vid in range(1, n + 1) if informed[vid])
+            place(src, target)
 
         for c in calls:
             vid = c.dst.id
@@ -200,8 +197,8 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
             informed_count += 1
             by_level[c.dst.level].append(vid)
             dirty[c.dst.level] = True
-            if c.dst.level >= 1:
-                pid = parent_id(c.dst)
+            if vid > 1:
+                pid = parent_id(vid)
                 rem_children[pid] = rem_children.get(pid, k) - 1
         steps.append(calls)
 
@@ -220,28 +217,28 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
 def _leaf_star_steps(tree: CompleteKTree, pre_informed: set[int]) -> list[list[Call]]:
     """Parallel stars: every level-(r-1) vertex feeds its k leaf children."""
     k, r = tree.k, tree.r
-    parents = tree.level_vertices(r - 1)
-    informed_children: dict[int, list[int]] = {p.id: [] for p in parents}
+    climb, by_id = tree.climb, tree.vertex_by_id
+    first_parent = tree.vertex_id(r - 1, 1)
+    parents = range(first_parent, first_parent + k ** (r - 1))
+    # informed leaf ids under each parent id, sorted; the children of p
+    # are k(p-1)+2 .. k(p-1)+k+1
+    informed_children: dict[int, list[int]] = {p: [] for p in parents}
     informed: set[int] = set(pre_informed)
     for lid in sorted(pre_informed):
-        leaf = tree.vertex_by_id(lid)
-        informed_children[tree.parent(leaf).id].append(lid)
-    remaining = tree.level_size(r) - len(pre_informed)
+        informed_children[(lid - 2) // k + 1].append(lid)
+    remaining = k**r - len(pre_informed)
 
     steps: list[list[Call]] = []
     while remaining > 0:
         calls: list[Call] = []
         for p in parents:
-            first = tree.vertex_id(r, (p.offset - 1) * k + 1)
+            first = k * (p - 1) + 2
             targets = [cid for cid in range(first, first + k) if cid not in informed]
-            callers: list[VertexRef] = [p]
-            callers += [tree.vertex_by_id(c) for c in informed_children[p.id]]
-            for src, cid in zip(callers, targets):
-                dst = tree.vertex_by_id(cid)
-                calls.append(Call(src, dst, tuple(tree.path(src, dst))))
+            for src, cid in zip([p, *informed_children[p]], targets):
+                calls.append(Call(by_id(src), by_id(cid), tuple(climb(src, cid))))
         for c in calls:
             informed.add(c.dst.id)
-            insort(informed_children[tree.parent(c.dst).id], c.dst.id)
+            insort(informed_children[(c.dst.id - 2) // k + 1], c.dst.id)
             remaining -= 1
         steps.append(calls)
     return steps

@@ -20,7 +20,7 @@ from . import bounds
 from .algorithms import alg1, alg2, alg3, lbckt, lbckt_case
 from .errors import LineBroadcastError, TooLarge
 from .ktree import CompleteKTree
-from .oracle import ORACLE_CAP, check_bracket, optimal_cost
+from .oracle import ORACLE_CAP, check_bracket
 from .procedures import from_level, to_level
 from .schedule import Call, Schedule, validate
 
@@ -264,11 +264,11 @@ def cmd_oracle(args) -> int:
     tree = CompleteKTree(args.k, args.r)
     u = tree.vertex_by_id(args.originator)
     try:
-        opt, witness = optimal_cost(tree, u, time_budget=args.budget, cap=args.cap)
-        bracket = check_bracket(tree, u, cap=args.cap)
+        bracket = check_bracket(tree, u, cap=args.cap, time_budget=args.budget)
     except TooLarge as exc:
         print(f"too large: {exc}", file=sys.stderr)
         return 5
+    opt, witness = bracket.optimal, bracket.witness
     print(f"k={tree.k} r={tree.r} n={tree.n} originator={u.id}")
     print(f"optimal_cost={opt} time={witness.total_time()}")
     for step in witness.steps:

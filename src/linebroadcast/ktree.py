@@ -1,16 +1,23 @@
 """Arithmetic model of a complete k-ary tree with breadth-first vertex ids.
 
 No adjacency is stored: every structural query (parent, children, ancestor)
-is pure index arithmetic on (level, offset) pairs, and path climbs
+is pure index arithmetic on (level, offset) pairs, and climb walks
 breadth-first ids, so a tree with tens of thousands of vertices costs a few
 integers. Vertices are numbered 1..n in breadth-first order with the root at
 id 1; offsets are 1-based inside each level. An edge is canonically
 identified by the id of its deeper endpoint, which makes a path a plain list
 of ints and per-step edge-disjointness a set intersection.
+
+climb takes the step's used edges as well and gives up at the first one it
+meets, so a schedule builder tests a candidate call while it climbs and
+builds the path only of a call it can place; path is the same climb with
+nothing to avoid.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Container
 from dataclasses import dataclass
 
 from .errors import (
@@ -77,11 +84,8 @@ class CompleteKTree:
         """Inverse of vertex_id: id -> (level, offset)."""
         if not 1 <= vid <= self.n:
             raise OutOfRange(f"id {vid} not in [1, {self.n}]")
-        level = self.r
-        for j in range(self.r + 1):
-            if vid <= self._level_base[j] + self.k**j:
-                level = j
-                break
+        # the vertices above level j number _level_base[j]
+        level = bisect_left(self._level_base, vid) - 1
         return level, vid - self._level_base[level]
 
     def vertex(self, level: int, offset: int) -> VertexRef:
@@ -117,25 +121,33 @@ class CompleteKTree:
         return self.vertex(target_level, (v.offset - 1) // span + 1)
 
     def path(self, a: VertexRef, b: VertexRef) -> list[int]:
-        """Edges of the unique simple path a -> b, as child ids in travel order.
+        """Edges of the unique simple path a -> b, as child ids in travel order."""
+        return self.climb(a.id, b.id)
+
+    def climb(self, x: int, y: int, avoid: Container[int] = ()) -> list[int] | None:
+        """The path from id x to id y, or None if it uses an edge in avoid.
 
         A vertex's ancestors all have smaller ids, so while the two ids
         differ the larger one lies below the lowest common ancestor and
-        climbs to its parent, (v - 2) // k + 1.
+        climbs to its parent, (v - 2) // k + 1. The climb stops at the
+        first edge it meets in avoid.
         """
-        x, y = a.id, b.id
         if not (0 < x <= self.n and 0 < y <= self.n):
-            raise OutOfRange(f"path({a}, {b}): ids must be in [1, {self.n}]")
+            raise OutOfRange(f"path({x}, {y}): ids must be in [1, {self.n}]")
         if x == y:
-            raise SameVertex(f"path({a}, {b}) is empty")
+            raise SameVertex(f"path({x}, {y}) is empty")
         k = self.k
         up: list[int] = []
         down: list[int] = []
         while x != y:
             if x > y:
+                if x in avoid:
+                    return None
                 up.append(x)
                 x = (x - 2) // k + 1
             else:
+                if y in avoid:
+                    return None
                 down.append(y)
                 y = (y - 2) // k + 1
         down.reverse()

@@ -239,6 +239,7 @@ class BracketReport:
     The optimum minimises over schedules within the step budget, so only
     schemes that themselves meet the budget are comparable against it;
     slower schemes may legally cost less and are listed but not compared.
+    witness is the solve's schedule attaining the optimum.
     """
 
     k: int
@@ -252,12 +253,22 @@ class BracketReport:
     dispatched_label: str
     dispatched_upper: Fraction
     ok: bool
+    witness: Schedule
 
 
-def check_bracket(tree: CompleteKTree, u: VertexRef, cap: int = ORACLE_CAP) -> BracketReport:
-    """Verify the bound bracket around the searched optimum for one instance."""
-    budget = ceil_log2(tree.n)
-    opt, witness = optimal_cost(tree, u, cap=cap)
+def check_bracket(
+    tree: CompleteKTree,
+    u: VertexRef,
+    cap: int = ORACLE_CAP,
+    time_budget: int | None = None,
+) -> BracketReport:
+    """Verify the bound bracket around the searched optimum for one instance.
+
+    The optimum is solved once, within time_budget steps (ceil(log2 n) by
+    default), and the schemes are compared against it at that budget.
+    """
+    budget = ceil_log2(tree.n) if time_budget is None else time_budget
+    opt, witness = optimal_cost(tree, u, time_budget=budget, cap=cap)
     witness_ok = validate(witness).ok
 
     costs = {}
@@ -290,4 +301,5 @@ def check_bracket(tree: CompleteKTree, u: VertexRef, cap: int = ORACLE_CAP) -> B
         dispatched_label=case.label,
         dispatched_upper=upper,
         ok=ok,
+        witness=witness,
     )

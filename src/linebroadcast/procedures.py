@@ -23,12 +23,18 @@ originator, or a detour) when the designated source is busy or too fresh,
 and trading calls with the previous step when the final step alone cannot
 hold everything: a fan-up call moves up a step, and the level delivery it
 displaces moves down to a window sibling. Whatever still cannot be placed
-is returned for a dedicated follow-up step.
+is returned for a dedicated follow-up step. Each fan-up target's source
+options are produced as the search asks for them, so the path of an option
+the search never reaches is never built.
+
+to_level tests a candidate call's edges while climbing its ids
+(CompleteKTree.climb), and builds a call only for a placement that fits.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import islice
 
@@ -132,13 +138,15 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
     matched to callers by relay scale, tightest first: sibling pairs, then
     pairs meeting one level higher, and so on; the originator picks up the
     first target local relays missed, and through-the-root relays mop up.
-    Every placement re-checks edge-disjointness against the step so far.
+    Every placement re-checks edge-disjointness against the step so far,
+    while it climbs; the callers of one range all meet the target at the
+    same ancestor, so their shared way down to it is checked once.
     """
     if not 1 <= j <= tree.r:
         raise OutOfRange(f"level {j} not in [1, {tree.r}]")
     k = tree.k
     size = k**j
-    vertex = tree.vertex
+    climb = tree.climb
     base = tree.vertex_id(j, 1) - 1
 
     u_off = u.offset if u.level == j else None
@@ -163,13 +171,14 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
         used_sources: set[int] = set()
         used_edges: set[int] = set()
 
-        def place(src: VertexRef, q: VertexRef) -> bool:
-            path = tree.path(src, q)
-            for e in path:
-                if e in used_edges:
-                    return False
-            calls.append(Call(src, q, tuple(path)))
-            used_sources.add(src.id)
+        def place(sid: int, q_off: int) -> bool:
+            """Call from id sid (u, or a level-j vertex) to offset q_off."""
+            path = climb(sid, base + q_off, used_edges)
+            if path is None:
+                return False
+            src = u if sid == u.id else VertexRef(j, sid - base, sid)
+            calls.append(Call(src, VertexRef(j, q_off, base + q_off), tuple(path)))
+            used_sources.add(sid)
             used_edges.update(path)
             return True
 
@@ -182,14 +191,18 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
             inner = span // k
             inner_lo = ((q_off - 1) // inner) * inner + 1 if inner else q_off
             inner_hi = inner_lo + inner - 1 if inner else q_off
-            q = vertex(j, q_off)
+            # every caller left meets q at their level-lvl ancestor, so all
+            # their calls share its way down to q: test that once
+            top = tree.vertex_id(lvl, (q_off - 1) // span + 1)
+            if climb(top, base + q_off, used_edges) is None:
+                return False
             for c_off in _nearest_first(pool, q_off, bisect_left(pool, lo_off),
                                         bisect_left(pool, hi_off + 1)):
                 if inner_lo <= c_off <= inner_hi:
                     continue  # tried at a tighter radius already
                 if base + c_off in used_sources:
                     continue
-                if place(vertex(j, c_off), q):
+                if place(base + c_off, q_off):
                     return True
             return False
 
@@ -211,7 +224,7 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
         # one-way path has the smallest edge footprint), and only then do
         # through-the-root relays mop up
         if unserved and u.id not in used_sources:
-            if place(u, vertex(j, unserved[0])):
+            if place(u.id, unserved[0]):
                 unserved = unserved[1:]
         for q_off in unserved:
             match_in_range(q_off, 0)
@@ -312,16 +325,18 @@ def from_level(
 
 
 def _cbj_assign(
-    var_options: list[list[tuple[int, tuple[int, ...]]]],
+    var_options: list[Iterable[tuple[int, tuple[int, ...]]]],
     fixed_edges: set[int],
     budget: int = 500_000,
 ) -> list[tuple[int, tuple[int, ...]] | None]:
     """Pick one (source id, path) per variable, sources unique and paths
     pairwise edge-disjoint (and disjoint from fixed_edges), by backjumping.
 
-    Options are tried in order, one budget unit each, as bitmasks encoded
-    on first try: a source or edge gets the next bit when first touched,
-    and the edges of fixed_edges share bit 0, which is always occupied.
+    Each variable's options are read from its iterable only as far as the
+    search gets. They are tried in order, one budget unit each, as
+    bitmasks encoded on first try: a source or edge gets the next bit when
+    first touched, and the edges of fixed_edges share bit 0, which is
+    always occupied.
     Backjumps are conflict-directed (Prosser's CBJ): a dead end's blockers
     are the committed variables whose pick meets the union of its options,
     plus its inherited conflict set (a bitmask over variable indices); the
@@ -343,8 +358,21 @@ def _cbj_assign(
             mask |= 1 << b
         return mask
 
+    streams = [iter(options) for options in var_options]
+    listed: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
     encoded: list[list[int]] = [[] for _ in range(n)]
     union = [0] * n  # of the options encoded so far
+
+    def pull(i: int) -> bool:
+        """List and encode variable i's next option; False when it has none."""
+        option = next(streams[i], None)
+        if option is None:
+            return False
+        listed[i].append(option)
+        encoded[i].append(mask := encode(*option))
+        union[i] |= mask
+        return True
+
     picked: list[tuple[int, tuple[int, ...]] | None] = [None] * n
     held = [0] * n  # the mask of picked
     cursor = [0] * n
@@ -353,14 +381,13 @@ def _cbj_assign(
 
     idx = 0
     while idx < n and budget > 0:
-        options, masks = var_options[idx], encoded[idx]
-        for c in range(cursor[idx], len(options)):
-            if c == len(masks):
-                masks.append(encode(*options[c]))
-                union[idx] |= masks[c]
+        masks = encoded[idx]
+        c = cursor[idx]
+        while c < len(masks) or pull(idx):
             budget -= 1
             if not masks[c] & occupied:
                 break
+            c += 1
         else:
             # a dead end; bit 0, the fixed edges, has no owner
             blockers = conflict[idx]
@@ -383,7 +410,7 @@ def _cbj_assign(
             idx = back
             continue
         cursor[idx] = c + 1
-        sid, path = picked[idx] = options[c]
+        sid, path = picked[idx] = listed[idx][c]
         held[idx] = masks[c]
         occupied |= masks[c]
         for key in (-sid, *path):
@@ -394,14 +421,14 @@ def _cbj_assign(
         # settle for the first-fit assignment
         picked = [None] * n
         occupied = 1
-        for i, options in enumerate(var_options):
-            masks = encoded[i]
-            for c, option in enumerate(options):
-                mask = masks[c] if c < len(masks) else encode(*option)
-                if not mask & occupied:
-                    picked[i] = option
-                    occupied |= mask
+        for i, masks in enumerate(encoded):
+            c = 0
+            while c < len(masks) or pull(i):
+                if not masks[c] & occupied:
+                    picked[i] = listed[i][c]
+                    occupied |= masks[c]
                     break
+                c += 1
     return picked
 
 
@@ -427,6 +454,7 @@ def merge_upcalls(
     """
     hard = u.level == 0  # the step budget is only asserted from the root
     k = tree.k
+    climb = tree.climb
     last = steps[-1]
     prev = list(steps[-2]) if len(steps) >= 2 and hard else None
     informed_before = {u.id}
@@ -444,37 +472,47 @@ def merge_upcalls(
         if tree.vertex_id(a.target_level, a.target_offset) != u.id
     ]
 
-    def free_in_span(a: UpcallAssignment) -> int:
+    def sorted_informed() -> list[int]:
+        top = level_base + k**j
+        return sorted(vid - level_base for vid in informed_before
+                      if level_base < vid <= top)
+
+    def in_span(pool: list[int], a: UpcallAssignment) -> tuple[int, int]:
+        """The slice of the sorted pool inside a's subtree span."""
         lo, hi = subtree_span(a)
-        return sum(
-            1 for o in range(lo, hi + 1)
-            if level_base + o in informed_before and level_base + o not in batch_busy
-        )
+        return bisect_left(pool, lo), bisect_left(pool, hi + 1)
+
+    # informed level-j offsets, and the ones the final step already sends from
+    informed_offsets = sorted_informed()
+    busy_offsets = [off for off in informed_offsets if level_base + off in batch_busy]
+
+    def free_in_span(a: UpcallAssignment) -> int:
+        start, stop = in_span(informed_offsets, a)
+        busy_start, busy_stop = in_span(busy_offsets, a)
+        return (stop - start) - (busy_stop - busy_start)
 
     # scarcest first, so flexible assignments route around committed ones
     assignments.sort(key=lambda a: (free_in_span(a), a.i, a.t))
 
-    def sorted_informed() -> list[int]:
-        return sorted(
-            off for off in range(1, k**j + 1)
-            if level_base + off in informed_before
-        )
-
     def upcall_options(a: UpcallAssignment, skip_busy: set[int], pool: list[int],
                        raised: list[VertexRef]):
+        """a's (source id, path) options, best first, each path built when
+        the search asks for the option. pool (informed_before's level-j
+        offsets, sorted), skip_busy and raised are the state of one solve,
+        and the exchange changes that state between solves, so the
+        generator must not outlive the solve that made it."""
         lo, hi = subtree_span(a)
-        target = tree.vertex(a.target_level, a.target_offset)
-        out = []
+        tid = tree.vertex_id(a.target_level, a.target_offset)
         # targets a pulled fan-up call informed a step early, nearest first
-        for v in sorted(raised, key=lambda v: (len(tree.path(v, target)), v.id)):
+        for v in sorted(raised, key=lambda v: (len(climb(v.id, tid)), v.id)):
             if v.id not in skip_busy:
-                out.append((v.id, tuple(tree.path(v, target))))
-        for off in _nearest_first(range(lo, hi + 1), a.leaf_offset):
+                yield v.id, tuple(climb(v.id, tid))
+        for off in _nearest_first(pool, a.leaf_offset, *in_span(pool, a)):
             sid = level_base + off
-            if sid in informed_before and sid not in skip_busy:
-                out.append((sid, tuple(tree.path(tree.vertex(j, off), target))))
+            if sid not in skip_busy:
+                yield sid, tuple(climb(sid, tid))
         if u.id not in skip_busy:
-            out.append((u.id, tuple(tree.path(u, target))))
+            yield u.id, tuple(climb(u.id, tid))
         # detour sources outside the target's own subtree: pricier paths,
         # but they can dodge a saturated subtree
         extras = 0
@@ -484,11 +522,10 @@ def merge_upcalls(
             sid = level_base + off
             if sid in skip_busy:
                 continue
-            out.append((sid, tuple(tree.path(tree.vertex(j, off), target))))
+            yield sid, tuple(climb(sid, tid))
             extras += 1
             if extras >= 32:
                 break
-        return out
 
     def solve_fixed_batch(assigns, batch):
         """Upcalls only, against the delivery batch as given."""
@@ -518,6 +555,7 @@ def merge_upcalls(
                     continue
             rest_pos.append(pos)
         raised = [c.dst for c in prev or () if c.dst.level != j]
+        # generators, read no further than _cbj_assign asks, in this call
         opts = [upcall_options(assigns[p], pre_busy, pool, raised)
                 for p in rest_pos]
         rest_picks = _cbj_assign(opts, pre_edges)

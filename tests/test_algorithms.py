@@ -14,6 +14,7 @@ from linebroadcast.bounds import (
     ceil_log2,
     tree_size,
 )
+from linebroadcast.procedures import to_level
 
 
 def test_dispatch_fixtures():
@@ -196,6 +197,37 @@ def test_slow_fold_schedules_unchanged(name, k, r, uid, cost, steps, digest):
     trace = [[[c.src.id, c.dst.id, list(c.path)] for c in st.calls] for st in s.steps]
     assert hashlib.sha256(json.dumps(trace).encode()).hexdigest() == digest
     assert (s.total_cost(), len(s.steps)) == (cost, steps)
+
+
+# The builders that place calls by climbing ids, pinned the same way from
+# originators below the root: alg1 from a leaf at (7,3) (it opens with a
+# relay to the root and overruns its rounds) and from level 2 at (4,4) (k a
+# power of two, so the root comes last), to_level(j=4) from a leaf at
+# (5,4), and lbckt (alg3 there) from a leaf at (8,3).
+BUILDER_PINS = [
+    ("alg1", 7, 3, 229, 630, 12,
+     "4dfcf00eef413fa3ab545111803e6d464e15bf8fd6631cb6a79cfc4c396c1a75"),
+    ("alg1", 4, 4, 13, 429, 12,
+     "03e6b11455b26fda23db1067c2f6209d0237785b2454e5d8ad3b0bf976218a29"),
+    ("to_level:4", 5, 4, 469, 1734, 12,
+     "a757b21008dc865e857caeabe5070e9d2920251ee42c3152f656b165331c0844"),
+    ("lbckt", 8, 3, 329, 1259, 10,
+     "a4632ad97d00780135c90f32390819a6136f747e0223a0bb5d8c4b0d2a84c162"),
+]
+
+
+@pytest.mark.parametrize("name,k,r,uid,cost,steps,digest", BUILDER_PINS)
+def test_builder_schedules_unchanged(name, k, r, uid, cost, steps, digest):
+    t = new(k, r)
+    u = t.vertex_by_id(uid)
+    if name == "to_level:4":
+        calls = to_level(t, 4, u).steps
+    else:
+        s = alg1(t, u) if name == "alg1" else lbckt(t, u)[0]
+        calls = [st.calls for st in s.steps]
+    trace = [[[c.src.id, c.dst.id, list(c.path)] for c in st] for st in calls]
+    assert hashlib.sha256(json.dumps(trace).encode()).hexdigest() == digest
+    assert (sum(c.cost for st in calls for c in st), len(calls)) == (cost, steps)
 
 
 def test_lbckt_dispatch():

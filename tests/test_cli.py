@@ -174,3 +174,30 @@ def test_oracle_cli(capsys):
 
     code, _, err = run_cli(capsys, "oracle", "--k", "2", "--r", "4")
     assert code == 5
+
+
+def test_oracle_cli_solves_once(capsys, monkeypatch):
+    import linebroadcast.cli as cli
+    import linebroadcast.oracle as oracle
+
+    solves = []
+    real = oracle.optimal_cost
+
+    def counted(*args, **kwargs):
+        solves.append(kwargs.get("time_budget"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "optimal_cost", counted)
+    monkeypatch.setattr(cli, "optimal_cost", counted, raising=False)
+    code, out, _ = run_cli(capsys, "oracle", "--k", "2", "--r", "2", "--budget", "5")
+    # the printed optimum and the bracket come from one solve at budget 5
+    assert solves == [5]
+    assert code == 0
+    assert "optimal_cost=6 time=5" in out
+    assert "algorithm_costs=alg1:6,alg2:6,alg3:10" in out
+    assert "bracket_ok=true" in out
+
+    solves.clear()
+    code, out, _ = run_cli(capsys, "oracle", "--k", "2", "--r", "2")
+    assert len(solves) == 1
+    assert "optimal_cost=7 time=3" in out and "bracket_ok=true" in out

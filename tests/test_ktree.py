@@ -52,6 +52,14 @@ def test_locate():
         t.locate(8)
     with pytest.raises(OutOfRange):
         t.locate(0)
+    for k, r in [(2, 4), (3, 3), (7, 2)]:
+        t = new(k, r)
+        ids = []
+        for j in range(r + 1):
+            for v in t.level_vertices(j):
+                assert t.locate(v.id) == (v.level, v.offset)
+                ids.append(v.id)
+        assert ids == list(range(1, t.n + 1))
 
 
 def test_parent():
@@ -176,6 +184,49 @@ def test_path_symmetry_and_length(params, data):
     assert fwd == up + down[::-1]
     # length equals level(a) + level(b) - 2 * level(lca)
     assert len(fwd) == a.level + b.level - 2 * x.level
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree_params, st.data())
+def test_climb_is_path_unless_it_meets_avoid(params, data):
+    k, r = params
+    t = CompleteKTree(k, r)
+    a = data.draw(st.integers(1, t.n))
+    b = data.draw(st.integers(1, t.n).filter(lambda y: y != a))
+    path = t.path(t.vertex_by_id(a), t.vertex_by_id(b))
+    # random edges, and sometimes edges of the path itself
+    avoid = data.draw(st.sets(st.integers(2, t.n), max_size=6))
+    avoid |= set(data.draw(st.lists(st.sampled_from(path), max_size=2)))
+    got = t.climb(a, b, avoid)
+    if avoid.isdisjoint(path):
+        assert got == path
+    else:
+        assert got is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_params, st.data())
+def test_climb_raises_as_path_does(params, data):
+    k, r = params
+    t = CompleteKTree(k, r)
+    x = data.draw(st.integers(-1, t.n + 1))
+    y = data.draw(st.sampled_from([x, 1, t.n, t.n + 1, data.draw(st.integers(-1, t.n + 1))]))
+    avoid = data.draw(st.sets(st.integers(2, t.n), max_size=4))
+
+    def outcome(fn):
+        try:
+            fn()
+        except (OutOfRange, SameVertex) as exc:
+            return type(exc)
+        return None
+
+    expected = outcome(lambda: t.path(VertexRef(0, 1, x), VertexRef(0, 1, y)))
+    if not (0 < x <= t.n and 0 < y <= t.n):
+        assert expected is OutOfRange
+    elif x == y:
+        assert expected is SameVertex
+    assert outcome(lambda: t.climb(x, y, avoid)) is expected
+    assert outcome(lambda: t.climb(x, y)) is expected
 
 
 @settings(max_examples=30, deadline=None)

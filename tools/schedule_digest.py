@@ -1,0 +1,127 @@
+"""Print one SHA-256 digest per family of schedules.
+
+Two checkouts that print the same digests build byte-identical schedules:
+the same steps, the same calls in the same order, the same paths and the
+same deviation flags. Run it from anywhere, with the standard library only:
+
+    python tools/schedule_digest.py
+
+The families:
+
+  * small-alg1, small-alg2, small-alg3: each scheme from every originator
+    on the 25 trees of the acceptance grid with n <= 400;
+  * small-to_level: to_level for every level j from every originator on
+    the same trees;
+  * large-trees: lbckt on the 37 schedules of perfbench's `large-trees`
+    workload (the root of every tree with 400 < n <= 50,000, and below
+    (8,5) the last vertex of level 1, the middle vertex of level r-1 and
+    the middle leaf);
+  * root-alg2, root-alg3, root-lbckt: each from the root at the 35 grid
+    points.
+
+Each line gives the family, its digest, its schedule count and its time.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+from time import perf_counter
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from linebroadcast import CompleteKTree, alg1, alg2, alg3, lbckt  # noqa: E402
+from linebroadcast.procedures import to_level  # noqa: E402
+
+
+def _size(k: int, r: int) -> int:
+    return (k ** (r + 1) - 1) // (k - 1)
+
+
+GRID = sorted(((k, r) for k in range(2, 9) for r in range(1, 6)),
+              key=lambda kr: _size(*kr))
+SMALL = [(k, r) for k, r in GRID if _size(k, r) <= 400]
+LARGE = [(k, r) for k, r in GRID if 400 < _size(k, r) <= 50_000]
+
+
+def _trace(steps, deviations=()) -> bytes:
+    calls = [[[c.src.id, c.dst.id, list(c.path)] for c in step] for step in steps]
+    return json.dumps([calls, list(deviations)]).encode()
+
+
+def _schedule(sched) -> bytes:
+    return _trace([s.calls for s in sched.steps], sched.deviations)
+
+
+def _large_originators(tree: CompleteKTree) -> list:
+    k, r = tree.k, tree.r
+    if (k, r) == (8, 5):
+        return [tree.root]
+    picked = [(0, 1), (1, k)]
+    if r >= 3:
+        picked.append((r - 1, (k ** (r - 1) + 1) // 2))
+    picked.append((r, (k**r + 1) // 2))
+    return [tree.vertex(level, off) for level, off in dict.fromkeys(picked)]
+
+
+def families():
+    """(name, iterable of (label, trace bytes)) for every family."""
+
+    def small(builder):
+        for k, r in SMALL:
+            tree = CompleteKTree(k, r)
+            for vid in range(1, tree.n + 1):
+                yield (k, r, vid), _schedule(builder(tree, tree.vertex_by_id(vid)))
+
+    def small_to_level():
+        for k, r in SMALL:
+            tree = CompleteKTree(k, r)
+            for vid in range(1, tree.n + 1):
+                for j in range(1, r + 1):
+                    frag = to_level(tree, j, tree.vertex_by_id(vid))
+                    yield (k, r, vid, j), _trace(frag.steps)
+
+    def large():
+        for k, r in LARGE:
+            tree = CompleteKTree(k, r)
+            for u in _large_originators(tree):
+                yield (k, r, u.id), _schedule(lbckt(tree, u)[0])
+
+    def root(builder):
+        for k, r in GRID:
+            tree = CompleteKTree(k, r)
+            sched = builder(tree, tree.root)
+            if isinstance(sched, tuple):
+                sched = sched[0]
+            yield (k, r), _schedule(sched)
+
+    yield "small-alg1", small(alg1)
+    yield "small-alg2", small(alg2)
+    yield "small-alg3", small(alg3)
+    yield "small-to_level", small_to_level()
+    yield "large-trees", large()
+    yield "root-alg2", root(alg2)
+    yield "root-alg3", root(alg3)
+    yield "root-lbckt", root(lbckt)
+
+
+def main() -> int:
+    total = perf_counter()
+    for name, items in families():
+        start = perf_counter()
+        digest = hashlib.sha256()
+        count = 0
+        for label, trace in items:
+            digest.update(json.dumps(label).encode())
+            digest.update(trace)
+            count += 1
+        print(f"{name:15} {digest.hexdigest()} {count:6d} {perf_counter() - start:7.1f} s",
+              flush=True)
+    print(f"total {perf_counter() - total:.1f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
