@@ -39,6 +39,9 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
 
     # the loops below work on breadth-first ids: the children of v are
     # k(v-1)+2 .. k(v-1)+k+1, and a VertexRef is made only for a placed call
+    # (straight from its level where the loop knows it: base[j] + offset is
+    # the id of the vertex (j, offset))
+    base = [tree.vertex_id(j, 1) - 1 for j in range(r + 1)]
     informed = bytearray(n + 1)
     informed[u.id] = 1
     informed_count = 1
@@ -94,11 +97,17 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
         used_edges: set[int] = set()
         serving: set[int] = set()
 
-        def place(src: int, dst: int) -> bool:
+        def place(src: int, dst: int, src_level: int | None = None,
+                  dst_level: int | None = None) -> bool:
             path = climb(src, dst, used_edges)
             if path is None:
                 return False
-            calls.append(Call(by_id(src), by_id(dst), tuple(path)))
+            calls.append(Call(
+                by_id(src) if src_level is None
+                else VertexRef(src_level, src - base[src_level], src),
+                by_id(dst) if dst_level is None
+                else VertexRef(dst_level, dst - base[dst_level], dst),
+                tuple(path)))
             used_src.add(src)
             used_edges.update(path)
             serving.add(dst)
@@ -120,8 +129,8 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
         sweep_to = (r if overtime else jj) - 1
         while swept_through < sweep_to:
             swept_through += 1
-            base = tree.vertex_id(swept_through, 1)
-            for vid in range(base, base + k**swept_through):
+            first = base[swept_through] + 1
+            for vid in range(first, first + k**swept_through):
                 if not informed[vid]:
                     late.append(vid)
         if late:
@@ -152,7 +161,7 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
                 first = first_child_id(pid)
                 for cid in range(first, first + k):
                     if not informed[cid] and cid not in serving:
-                        place(pid, cid)
+                        place(pid, cid, lvl, lvl + 1)
                         break
 
         # informed children relay to siblings through the parent (cost 2)
@@ -169,7 +178,7 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
                 first = first_child_id(pid)
                 for sid in range(first, first + k):
                     if not informed[sid] and sid not in serving:
-                        place(wid, sid)
+                        place(wid, sid, lvl, lvl)
                         break
 
         # closing call: once only the root is missing, a level-1 vertex
@@ -217,28 +226,30 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
 def _leaf_star_steps(tree: CompleteKTree, pre_informed: set[int]) -> list[list[Call]]:
     """Parallel stars: every level-(r-1) vertex feeds its k leaf children."""
     k, r = tree.k, tree.r
-    climb, by_id = tree.climb, tree.vertex_by_id
-    first_parent = tree.vertex_id(r - 1, 1)
-    parents = range(first_parent, first_parent + k ** (r - 1))
-    # informed leaf ids under each parent id, sorted; the children of p
-    # are k(p-1)+2 .. k(p-1)+k+1
-    informed_children: dict[int, list[int]] = {p: [] for p in parents}
+    climb = tree.climb
+    parents = tree.level_vertices(r - 1)
+    leaf_base = tree.vertex_id(r, 1) - 1
+    # the informed leaves under each parent id, as refs sorted by id (refs
+    # of one level sort by offset); a leaf's ref is made once, for the call
+    # that informs it. The children of p are k(p-1)+2 .. k(p-1)+k+1
+    informed_children: dict[int, list[VertexRef]] = {p.id: [] for p in parents}
     informed: set[int] = set(pre_informed)
     for lid in sorted(pre_informed):
-        informed_children[(lid - 2) // k + 1].append(lid)
+        informed_children[(lid - 2) // k + 1].append(VertexRef(r, lid - leaf_base, lid))
     remaining = k**r - len(pre_informed)
 
     steps: list[list[Call]] = []
     while remaining > 0:
         calls: list[Call] = []
         for p in parents:
-            first = k * (p - 1) + 2
+            first = k * (p.id - 1) + 2
             targets = [cid for cid in range(first, first + k) if cid not in informed]
-            for src, cid in zip([p, *informed_children[p]], targets):
-                calls.append(Call(by_id(src), by_id(cid), tuple(climb(src, cid))))
+            for src, cid in zip([p, *informed_children[p.id]], targets):
+                calls.append(Call(src, VertexRef(r, cid - leaf_base, cid),
+                                  tuple(climb(src.id, cid))))
         for c in calls:
             informed.add(c.dst.id)
-            insort(informed_children[(c.dst.id - 2) // k + 1], c.dst.id)
+            insort(informed_children[(c.dst.id - 2) // k + 1], c.dst)
             remaining -= 1
         steps.append(calls)
     return steps

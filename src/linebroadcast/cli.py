@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import bounds
 from .algorithms import alg1, alg2, alg3, lbckt, lbckt_case
-from .errors import LineBroadcastError, TooLarge
+from .errors import LineBroadcastError, ScheduleFormatError, TooLarge
 from .ktree import CompleteKTree
 from .oracle import ORACLE_CAP, check_bracket
 from .procedures import from_level, to_level
@@ -81,7 +81,8 @@ def schedule_from_dict(data: dict) -> Schedule:
             dst = tree.vertex_by_id(c["dst"])
             path = tree.path(src, dst)
             if list(path) != list(c["path"]):
-                raise ValueError(f"path of {c['src']}->{c['dst']} is not the tree path")
+                raise ScheduleFormatError(
+                    f"path of {c['src']}->{c['dst']} is not the tree path")
             calls.append(Call(src, dst, tuple(path)))
         sched.append_step(calls)
     return sched

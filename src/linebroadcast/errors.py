@@ -35,3 +35,7 @@ class PreconditionViolated(LineBroadcastError):
 
 class TooLarge(LineBroadcastError):
     """The instance exceeds the exhaustive-search cap."""
+
+
+class ScheduleFormatError(LineBroadcastError, ValueError):
+    """A serialized schedule does not describe calls along tree paths."""

@@ -12,13 +12,19 @@ climb takes the step's used edges as well and gives up at the first one it
 meets, so a schedule builder tests a candidate call while it climbs and
 builds the path only of a call it can place; path is the same climb with
 nothing to avoid.
+
+A vertex is handed around as a VertexRef, a NamedTuple (level, offset, id):
+a schedule holds two per call, so the record is a bare immutable tuple,
+with no per-instance dict, that compares and hashes by value. A builder
+that knows a vertex's level makes its ref directly; vertex_by_id searches
+the level of an arbitrary id and checks its range.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Container
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     InvalidParams,
@@ -34,9 +40,11 @@ from .errors import (
 MAX_VERTICES = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class VertexRef:
-    """A vertex as (level, offset) plus its breadth-first id."""
+class VertexRef(NamedTuple):
+    """A vertex as (level, offset) plus its breadth-first id.
+
+    It equals, and hashes as, the plain tuple (level, offset, id).
+    """
 
     level: int
     offset: int

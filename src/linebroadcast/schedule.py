@@ -14,21 +14,29 @@ Model conventions:
   * Re-informing an already informed vertex is a violation, not a warning.
   * Empty steps are retained but do not count toward total_time.
 
+A Call is a NamedTuple (src, dst, path) of two VertexRefs and the edge ids
+in travel order: an immutable record without a per-instance dict that
+compares and hashes by value, since a schedule of n vertices holds n - 1 of
+them.
+
 The validator is a total pass: it reports every violation it finds instead
-of stopping at the first one.
+of stopping at the first one. It re-derives each call's path by climbing
+ids and compares it with the call's path, list or tuple alike, and walks a
+path edge by edge only to name the edges it shares with earlier calls of
+its step.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import OutOfRange
 from .ktree import CompleteKTree, VertexRef
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     """One transmission: source, destination and the edge path between them."""
 
     src: VertexRef
@@ -126,6 +134,7 @@ def validate(
     earlier phase). expected_informed overrides the coverage target, which
     defaults to all n vertices.
     """
+    n, climb = schedule.tree.n, schedule.tree.climb
     informed: set[int] = {schedule.originator.id}
     if assume_informed:
         informed.update(assume_informed)
@@ -137,49 +146,55 @@ def validate(
         dests_seen: set[int] = set()
         edges_used: set[int] = set()
         for call in step.calls:
-            if call.src.id not in informed:
+            src, dst, path = call.src.id, call.dst.id, call.path
+            if src not in informed:
                 violations.append(
                     Violation(step.t, ViolationKind.UNINFORMED_SOURCE,
-                              f"source {call.src.id} not informed")
+                              f"source {src} not informed")
                 )
-            if call.dst.id in informed:
+            if dst in informed:
                 violations.append(
                     Violation(step.t, ViolationKind.DOUBLE_RECEIVE,
-                              f"destination {call.dst.id} already informed")
+                              f"destination {dst} already informed")
                 )
-            if call.src.id in sources_seen:
+            if src in sources_seen:
                 violations.append(
                     Violation(step.t, ViolationKind.MULTI_SEND,
-                              f"vertex {call.src.id} sends twice")
+                              f"vertex {src} sends twice")
                 )
-            sources_seen.add(call.src.id)
-            if call.dst.id in dests_seen:
+            sources_seen.add(src)
+            if dst in dests_seen:
                 violations.append(
                     Violation(step.t, ViolationKind.DOUBLE_RECEIVE,
-                              f"vertex {call.dst.id} receives twice")
+                              f"vertex {dst} receives twice")
                 )
-            dests_seen.add(call.dst.id)
-            # a call to itself has no path, and is flagged above already
-            if (call.src.id != call.dst.id
-                    and list(call.path) != schedule.tree.path(call.src, call.dst)):
+            dests_seen.add(dst)
+            # a call to itself has no path, and is flagged above already;
+            # tuple() of a tuple path is the path itself, so only a path
+            # given as a list is copied
+            if src != dst and tuple(climb(src, dst)) != tuple(path):
                 violations.append(
                     Violation(step.t, ViolationKind.PATH_MISMATCH,
                               f"call {call} does not travel the tree path")
                 )
-            for edge in call.path:
-                if edge in edges_used:
-                    violations.append(
-                        Violation(step.t, ViolationKind.EDGE_CONFLICT,
-                                  f"edge child-{edge} used twice")
-                    )
-            edges_used.update(call.path)
+            if not edges_used.isdisjoint(path):
+                for edge in path:
+                    if edge in edges_used:
+                        violations.append(
+                            Violation(step.t, ViolationKind.EDGE_CONFLICT,
+                                      f"edge child-{edge} used twice")
+                        )
+            edges_used.update(path)
         informed.update(dests_seen)
         timeline.append((step.t, len(informed)))
 
-    expected = expected_informed
-    if expected is None:
-        expected = set(range(1, schedule.tree.n + 1))
-    missing = expected - informed
+    if expected_informed is None:
+        # every id in [1, n] is expected; the missing ones are listed only
+        # to report them
+        expected = range(1, n + 1)
+        missing = set() if informed.issuperset(expected) else set(expected) - informed
+    else:
+        missing = expected_informed - informed
     if missing:
         sample = sorted(missing)[:5]
         violations.append(

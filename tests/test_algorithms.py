@@ -203,7 +203,9 @@ def test_slow_fold_schedules_unchanged(name, k, r, uid, cost, steps, digest):
 # originators below the root: alg1 from a leaf at (7,3) (it opens with a
 # relay to the root and overruns its rounds) and from level 2 at (4,4) (k a
 # power of two, so the root comes last), to_level(j=4) from a leaf at
-# (5,4), and lbckt (alg3 there) from a leaf at (8,3).
+# (5,4), and lbckt (alg3 there) from a leaf at (8,3). The last two are the
+# heaviest large-tree builds: lbckt from the root at (8,5) and alg1 from a
+# leaf at (7,5).
 BUILDER_PINS = [
     ("alg1", 7, 3, 229, 630, 12,
      "4dfcf00eef413fa3ab545111803e6d464e15bf8fd6631cb6a79cfc4c396c1a75"),
@@ -213,6 +215,10 @@ BUILDER_PINS = [
      "a757b21008dc865e857caeabe5070e9d2920251ee42c3152f656b165331c0844"),
     ("lbckt", 8, 3, 329, 1259, 10,
      "a4632ad97d00780135c90f32390819a6136f747e0223a0bb5d8c4b0d2a84c162"),
+    ("lbckt", 8, 5, 1, 80217, 16,
+     "3d1f7202a47050effff517a1080d8df854757591cdfb3915ea3361f7f88d029e"),
+    ("alg1", 7, 5, 11205, 30745, 23,
+     "b7ceda8739ddf77fed59d0551b43d113e839cb84a01ca07639ac4841c19c7d76"),
 ]
 
 

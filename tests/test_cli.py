@@ -5,6 +5,7 @@ import json
 import pytest
 
 from linebroadcast import validate
+from linebroadcast.errors import LineBroadcastError, ScheduleFormatError
 from linebroadcast.cli import (
     CSV_HEADER,
     main,
@@ -91,6 +92,18 @@ def test_from_dict_rejects_wrong_path():
     }
     with pytest.raises(ValueError):
         schedule_from_dict(broken)
+
+
+def test_from_dict_error_is_typed():
+    broken = {
+        "k": 2, "r": 2, "n": 7, "originator": 4, "algorithm": "x",
+        "steps": [{"t": 1, "calls": [
+            {"src": 4, "dst": 7, "path": [4, 2, 7], "cost": 3}]}],
+        "total_time": 1, "total_cost": 3, "valid": True, "deviations": [],
+    }
+    with pytest.raises(ScheduleFormatError, match="4->7 is not the tree path") as info:
+        schedule_from_dict(broken)
+    assert isinstance(info.value, LineBroadcastError)
 
 
 def test_bounds_output(capsys):

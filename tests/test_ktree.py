@@ -126,6 +126,25 @@ def test_level_vertices():
     assert [v.id for v in t3.level_vertices(1)] == [2, 3, 4]
 
 
+def test_vertex_ref_is_an_immutable_value():
+    t = new(2, 3)
+    v = t.vertex_by_id(7)
+    with pytest.raises(AttributeError):
+        v.id = 8
+    with pytest.raises(AttributeError):
+        v.level = 0
+    same = VertexRef(2, 4, 7)
+    assert v == same and hash(v) == hash(same)
+    assert v != VertexRef(2, 3, 6)
+    assert len({v, same, t.vertex(2, 4)}) == 1
+
+
+def test_vertex_ref_text():
+    v = VertexRef(2, 3, 7)
+    assert str(v) == "v(2,3)#7"
+    assert repr(v) == "VertexRef(level=2, offset=3, id=7)"
+
+
 # -- properties --------------------------------------------------------------
 
 tree_params = st.tuples(st.integers(2, 6), st.integers(1, 4))

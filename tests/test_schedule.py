@@ -139,3 +139,66 @@ def test_unit_cost_edge_naming_consistency():
         for c in step.calls:
             if c.cost == 1:
                 assert c.path == (c.dst.id,)
+
+
+def test_call_is_an_immutable_value():
+    t = new(2, 2)
+    c = call(t, 4, 7)
+    with pytest.raises(AttributeError):
+        c.path = (4,)
+    with pytest.raises(AttributeError):
+        c.src = t.root
+    same = Call(t.vertex_by_id(4), t.vertex_by_id(7), (4, 2, 3, 7))
+    assert c == same and hash(c) == hash(same)
+    assert len({c, same}) == 1
+    assert c != call(t, 4, 6)
+
+
+def test_call_text_and_cost():
+    t = new(2, 2)
+    c = call(t, 4, 7)
+    assert c.cost == 4
+    assert str(c) == "4->7"
+    assert repr(c) == (
+        "Call(src=VertexRef(level=2, offset=1, id=4), "
+        "dst=VertexRef(level=2, offset=4, id=7), path=(4, 2, 3, 7))")
+    assert Call(t.root, t.vertex_by_id(2), ()).cost == 0
+
+
+def test_validate_accepts_a_list_path():
+    t = new(2, 2)
+    s = Schedule(t, t.vertex_by_id(4), "demo")
+    s.append_step([Call(t.vertex_by_id(4), t.vertex_by_id(7), [4, 2, 3, 7])])
+    s.append_step([Call(t.vertex_by_id(4), t.vertex_by_id(5), [4, 5]),
+                   Call(t.vertex_by_id(7), t.vertex_by_id(6), [7, 6])])
+    s.append_step([Call(t.vertex_by_id(4), t.vertex_by_id(2), [4]),
+                   Call(t.vertex_by_id(7), t.vertex_by_id(3), [7]),
+                   Call(t.vertex_by_id(5), t.vertex_by_id(1), [5, 2])])
+    rep = validate(s)
+    assert rep.ok, rep.violations
+    assert rep.informed_timeline == [(1, 2), (2, 4), (3, 7)]
+
+
+def test_validate_reports_each_shared_edge():
+    # 4 -> 7 and 5 -> 6 both cross edges 2 and 3
+    t = new(2, 2)
+    s = Schedule(t, t.root, "demo")
+    s.append_step([call(t, 4, 7), call(t, 5, 6)])
+    rep = validate(s, assume_informed={4, 5})
+    assert [(v.step, v.kind, v.detail) for v in rep.violations] == [
+        (1, ViolationKind.EDGE_CONFLICT, "edge child-2 used twice"),
+        (1, ViolationKind.EDGE_CONFLICT, "edge child-3 used twice"),
+        (None, ViolationKind.INCOMPLETE_COVERAGE,
+         "2 vertices never informed (first: [2, 3])"),
+    ]
+
+
+def test_validate_names_the_first_five_missing_ids():
+    t = new(2, 3)
+    s = Schedule(t, t.root, "demo")
+    s.append_step([call(t, 1, 3)])
+    s.append_step([call(t, 3, 7), call(t, 1, 2)])
+    rep = validate(s)
+    assert [(v.step, v.kind, v.detail) for v in rep.violations] == [
+        (None, ViolationKind.INCOMPLETE_COVERAGE,
+         "11 vertices never informed (first: [4, 5, 6, 8, 9])")]
