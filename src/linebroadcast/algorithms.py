@@ -18,6 +18,7 @@ only.
 from __future__ import annotations
 
 from bisect import insort
+from itertools import compress
 
 from .bounds import DispatchCase, ceil_log2, lbckt_case
 from .ktree import CompleteKTree, VertexRef
@@ -46,11 +47,6 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
     informed[u.id] = 1
     informed_count = 1
 
-    # informed ids per level; kept sorted lazily (sort once per use)
-    by_level: list[list[int]] = [[] for _ in range(r + 1)]
-    dirty = [False] * (r + 1)
-    by_level[u.level].append(u.id)
-
     # uninformed-children count per internal vertex id (lazy default k)
     rem_children: dict[int, int] = {}
 
@@ -61,10 +57,9 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
         return k * (v - 1) + 2
 
     def level_ids(level: int) -> list[int]:
-        if dirty[level]:
-            by_level[level].sort()
-            dirty[level] = False
-        return by_level[level]
+        """The informed ids of a level, ascending: its ids are contiguous."""
+        lo, hi = base[level] + 1, base[level] + k**level + 1
+        return list(compress(range(lo, hi), informed[lo:hi]))
 
     steps: list[list[Call]] = []
 
@@ -76,7 +71,6 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
         steps.append([call])
         informed[1] = 1
         informed_count += 1
-        by_level[0].append(1)
         sched.deviations.append(f"alg1:originator-relay-cost={call.cost}")
     u_anc = tree.ancestor_at_level(u, 1).id if deep else None
 
@@ -204,8 +198,6 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
             vid = c.dst.id
             informed[vid] = 1
             informed_count += 1
-            by_level[c.dst.level].append(vid)
-            dirty[c.dst.level] = True
             if vid > 1:
                 pid = parent_id(vid)
                 rem_children[pid] = rem_children.get(pid, k) - 1

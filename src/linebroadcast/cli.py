@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import bounds
 from .algorithms import alg1, alg2, alg3, lbckt, lbckt_case
-from .errors import LineBroadcastError, ScheduleFormatError, TooLarge
+from .errors import (LineBroadcastError, OutOfRange, SameVertex,
+                     ScheduleFormatError, TooLarge)
 from .ktree import CompleteKTree
 from .oracle import ORACLE_CAP, check_bracket
 from .procedures import from_level, to_level
@@ -77,10 +79,16 @@ def schedule_from_dict(data: dict) -> Schedule:
     for step in data["steps"]:
         calls = []
         for c in step["calls"]:
-            src = tree.vertex_by_id(c["src"])
-            dst = tree.vertex_by_id(c["dst"])
-            path = tree.path(src, dst)
-            if list(path) != list(c["path"]):
+            try:
+                src = tree.vertex_by_id(c["src"])
+                dst = tree.vertex_by_id(c["dst"])
+                path = tree.path(src, dst)
+                given = list(c["path"])
+            except KeyError as exc:
+                raise ScheduleFormatError(f"call {c} has no {exc}") from exc
+            except (OutOfRange, SameVertex) as exc:
+                raise ScheduleFormatError(f"call {c}: {exc}") from exc
+            if list(path) != given:
                 raise ScheduleFormatError(
                     f"path of {c['src']}->{c['dst']} is not the tree path")
             calls.append(Call(src, dst, tuple(path)))
@@ -186,11 +194,16 @@ def cmd_bounds(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{what} {text!r} is not an integer") from None
+
+
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return int(lo), int(hi)
-    return int(text), int(text)
+    lo, dots, hi = text.partition("..")
+    return _parse_int(lo, "range bound"), _parse_int(hi if dots else lo, "range bound")
 
 
 def _sweep_cell(cell: tuple[int, int, int]) -> tuple[tuple[int, int, int], str, bool]:
@@ -230,14 +243,18 @@ def cmd_sweep(args) -> int:
             elif args.originators == "all":
                 uids = list(range(1, n + 1))
             else:
-                uids = sorted({int(x) for x in args.originators.split(",")})
+                uids = sorted({_parse_int(x, "originator")
+                               for x in args.originators.split(",")})
                 for uid in uids:
                     if not 1 <= uid <= n:
                         raise UsageError(f"originator {uid} not in [1, {n}]")
             cells.extend((k, r, uid) for uid in uids)
 
-    if args.parallel and args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
+    # the executor may start every worker at once, so ask for no more than
+    # there are cells and cores
+    workers = min(args.parallel, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, cells))
     else:
         results = [_sweep_cell(c) for c in cells]

@@ -22,10 +22,12 @@ step budget requires it, substituting same-subtree sources (or the
 originator, or a detour) when the designated source is busy or too fresh,
 and trading calls with the previous step when the final step alone cannot
 hold everything: a fan-up call moves up a step, and the level delivery it
-displaces moves down to a window sibling. Whatever still cannot be placed
-is returned for a dedicated follow-up step. Each fan-up target's source
-options are produced as the search asks for them, so the path of an option
-the search never reaches is never built.
+displaces moves down to a window sibling. Each trade is tried on a fold
+state of its own, built from the kept one, so no trial depends on the
+trials before it. Whatever still cannot be placed is returned for a
+dedicated follow-up step. Each fan-up target's source options are produced
+as the search asks for them, so the path of an option the search never
+reaches is never built.
 
 to_level tests a candidate call's edges while climbing its ids
 (CompleteKTree.climb), and builds a call only for a placement that fits.
@@ -448,15 +450,17 @@ def merge_upcalls(
     step provably cannot hold every call, fan-up calls are pulled into the
     previous step in exchange for level deliveries moved the other way; a
     pulled target is informed in time to source a final-step call itself
-    or to a neighbouring target. Once everything fits, further pulls are
-    kept only while they make the fold cheaper. Anything still unplaced is
-    returned for a dedicated extra step.
+    or to a neighbouring target. Each pull is tried on a new fold state
+    built from the kept one, so a rejected trial leaves nothing to undo.
+    Once everything fits, further pulls are kept only while they make the
+    fold cheaper; when no pull reaches a full fold, the first solve stands.
+    Anything still unplaced is returned for a dedicated extra step. The
+    steps given are not changed.
     """
     hard = u.level == 0  # the step budget is only asserted from the root
     k = tree.k
     climb = tree.climb
     last = steps[-1]
-    prev = list(steps[-2]) if len(steps) >= 2 and hard else None
     informed_before = {u.id}
     for step in steps[:-1]:
         informed_before.update(c.dst.id for c in step)
@@ -472,9 +476,9 @@ def merge_upcalls(
         if tree.vertex_id(a.target_level, a.target_offset) != u.id
     ]
 
-    def sorted_informed() -> list[int]:
+    def sorted_informed(informed: set[int]) -> list[int]:
         top = level_base + k**j
-        return sorted(vid - level_base for vid in informed_before
+        return sorted(vid - level_base for vid in informed
                       if level_base < vid <= top)
 
     def in_span(pool: list[int], a: UpcallAssignment) -> tuple[int, int]:
@@ -483,7 +487,7 @@ def merge_upcalls(
         return bisect_left(pool, lo), bisect_left(pool, hi + 1)
 
     # informed level-j offsets, and the ones the final step already sends from
-    informed_offsets = sorted_informed()
+    informed_offsets = sorted_informed(informed_before)
     busy_offsets = [off for off in informed_offsets if level_base + off in batch_busy]
 
     def free_in_span(a: UpcallAssignment) -> int:
@@ -497,10 +501,8 @@ def merge_upcalls(
     def upcall_options(a: UpcallAssignment, skip_busy: set[int], pool: list[int],
                        raised: list[VertexRef]):
         """a's (source id, path) options, best first, each path built when
-        the search asks for the option. pool (informed_before's level-j
-        offsets, sorted), skip_busy and raised are the state of one solve,
-        and the exchange changes that state between solves, so the
-        generator must not outlive the solve that made it."""
+        the search asks for the option. pool is the informed level-j
+        offsets, sorted; skip_busy holds the ids that already send."""
         lo, hi = subtree_span(a)
         tid = tree.vertex_id(a.target_level, a.target_offset)
         # targets a pulled fan-up call informed a step early, nearest first
@@ -527,16 +529,17 @@ def merge_upcalls(
             if extras >= 32:
                 break
 
-    def solve_fixed_batch(assigns, batch):
-        """Upcalls only, against the delivery batch as given."""
-        pool = sorted_informed()
-        busy = {c.src.id for c in batch}
-        edges: set[int] = set()
-        for c in batch:
-            edges.update(c.path)
+    # A fold state is a value: (the previous step or None, the final step's
+    # deliveries, the ids informed before the final step, the open fan-up
+    # assignments). Nothing below changes a state once it is built, and the
+    # first one holds the steps given.
+    def solve_fixed_batch(prev, batch, informed, assigns):
+        """Upcalls only: one pick per entry of assigns (None where
+        unplaced), against the fold state as given."""
+        pool = sorted_informed(informed)
+        pre_busy = {c.src.id for c in batch}
+        pre_edges = {e for c in batch for e in c.path}
         pre: dict[int, tuple[int, tuple[int, ...]]] = {}
-        pre_busy = set(busy)
-        pre_edges = set(edges)
         rest_pos = []
         for pos, a in enumerate(assigns):
             if a.i == 1:
@@ -544,7 +547,7 @@ def merge_upcalls(
                 hit = None
                 for off in range(lo, hi + 1):
                     sid = level_base + off
-                    if (sid in informed_before and sid not in pre_busy
+                    if (sid in informed and sid not in pre_busy
                             and sid not in pre_edges):
                         hit = sid
                         break
@@ -566,9 +569,9 @@ def merge_upcalls(
             picks[pos] = p
         return picks
 
-    picks = solve_fixed_batch(assignments, last)
-    final = list(last)
-    open_assignments = list(assignments)
+    prev = steps[-2] if len(steps) >= 2 and hard else None
+    state = (prev, last, informed_before, assignments)
+    picks = solve_fixed_batch(*state)
 
     if any(p is None for p in picks) and prev is not None:
         # The final step cannot hold everything. Move fan-up calls into the
@@ -577,127 +580,104 @@ def merge_upcalls(
         # displaced delivery runs in the final step off a window sibling. A
         # pulled target can itself source a final-step fan-up call over its
         # own edges, which relieves the scarce entry edges above the level-j
-        # windows. Each trial swap is kept only when the re-solved fold
+        # windows. Each trial pull is kept only when the re-solved fold
         # leaves fewer calls unplaced, or as many at a lower cost.
-        batch = list(last)
-        prev_backup = list(prev)
-        first_picks = picks
 
-        def displaced_delivery(dst: VertexRef) -> Call | None:
-            """Serve dst in the final step from an idle window sibling."""
-            busy_now = {c.src.id for c in batch}
-            edges_now: set[int] = set()
-            for c in batch:
-                edges_now.update(c.path)
-            if dst.id in edges_now:
+        def displaced_delivery(dst: VertexRef, informed: set[int],
+                               busy: set[int], edges: set[int]) -> Call | None:
+            """Serve dst in the final step from an idle window sibling, the
+            step's deliveries sending from busy over edges."""
+            if dst.id in edges:
                 return None
             w_lo = ((dst.offset - 1) // k) * k + 1
             for off in range(w_lo, w_lo + k):
                 sid = level_base + off
-                if (sid != dst.id and sid in informed_before
-                        and sid not in busy_now and sid not in edges_now):
+                if (sid != dst.id and sid in informed
+                        and sid not in busy and sid not in edges):
                     return Call(tree.vertex(j, off), dst, (sid, dst.id))
             return None
 
-        def pull_choices(b: UpcallAssignment):
-            """Previous-step swaps that could carry b: any caller whose old
-            call's released edges cover the new path (its own call usually
-            does most of the covering). A caller whose delivery sources a
-            final-step call keeps it."""
+        def pulls(state, b: UpcallAssignment):
+            """The fold states that pull b into the previous step, one per
+            caller whose old call's released edges cover the new path (its
+            own call usually does most of the covering). A caller whose
+            delivery sources a final-step call keeps it."""
+            prev, batch, informed, assigns = state
             target = tree.vertex(b.target_level, b.target_offset)
             prev_edges = {e for c in prev for e in c.path}
-            busy_now = {c.src.id for c in batch}
+            busy = {c.src.id for c in batch}
+            batch_edges = {e for c in batch for e in c.path}
             for ci, c in enumerate(prev):
-                if c.dst.level != j or c.dst.id in busy_now:
+                if c.dst.level != j or c.dst.id in busy:
                     continue
                 up_path = tree.path(c.src, target)
                 if any(e in prev_edges and e not in c.path for e in up_path):
                     continue
-                moved = displaced_delivery(c.dst)
+                moved = displaced_delivery(c.dst, informed, busy, batch_edges)
                 if moved is not None:
-                    yield b, ci, c, up_path, moved
+                    yield ([*prev[:ci], Call(c.src, target, tuple(up_path)),
+                            *prev[ci + 1:]],
+                           [*batch, moved],
+                           (informed - {c.dst.id}) | {target.id},
+                           [a for a in assigns if a is not b])
 
-        def apply_pull(choice) -> None:
-            b, ci, c, up_path, moved = choice
-            target = tree.vertex(b.target_level, b.target_offset)
-            prev[ci] = Call(c.src, target, tuple(up_path))
-            informed_before.discard(c.dst.id)
-            informed_before.add(target.id)
-            batch.append(moved)
-            open_assignments.remove(b)
+        def rank(state, picks) -> tuple[int, int]:
+            """(calls unplaced, fold cost): lower is better."""
+            prev, batch, _, _ = state
+            return (sum(p is None for p in picks),
+                    sum(c.cost for c in prev) + sum(c.cost for c in batch)
+                    + sum(len(p[1]) for p in picks if p is not None))
 
-        def revert_pull(choice) -> None:
-            b, ci, c, _, _ = choice
-            informed_before.discard(prev[ci].dst.id)
-            prev[ci] = c
-            informed_before.add(c.dst.id)
-            batch.pop()
-            open_assignments.append(b)
-
-        def fold_cost(picks_now) -> int:
-            return (sum(c.cost for c in prev) + sum(c.cost for c in batch)
-                    + sum(len(p[1]) for p in picks_now if p is not None))
-
-        def pull_pool(a: UpcallAssignment) -> list[UpcallAssignment]:
+        def pull_pool(assigns, a: UpcallAssignment) -> list[UpcallAssignment]:
             """Pulls that may unblock a: its enclosing targets, nearest
             first (one informed a step early can serve a itself), then a
             itself, then the targets nested inside it."""
             lo, hi = subtree_span(a)
             pool_b = sorted(
-                (b for b in open_assignments
+                (b for b in assigns
                  if b.i > a.i and subtree_span(b)[0] <= lo
                  and hi <= subtree_span(b)[1]),
                 key=lambda b: b.i,
             )
-            pool_b += [b for b in open_assignments if b is a]
+            pool_b += [b for b in assigns if b is a]
             pool_b += [
-                b for b in open_assignments
+                b for b in assigns
                 if b is not a and b.i < a.i
                 and lo <= subtree_span(b)[0] and subtree_span(b)[1] <= hi
             ]
             return pool_b
 
-        score = sum(p is None for p in picks)
-        cost = fold_cost(picks)
-
-        def keep_a_pull() -> bool:
-            """Keep the first pull whose re-solved fold beats (score,
-            cost); False when none does."""
-            nonlocal picks, score, cost
-            stuck = [a for a, p in zip(open_assignments, picks) if p is None]
+        def first_better(state, picks, best):
+            """The first pull from state whose re-solved fold ranks below
+            best, as (state, picks, rank); None when no pull does."""
+            assigns = state[3]
+            stuck = [a for a, p in zip(assigns, picks) if p is None]
             if stuck:
-                pools = [pull_pool(a) for a in stuck]
+                pools = [pull_pool(assigns, a) for a in stuck]
             else:
                 # everything fits: look for pulls that make the fold cheaper
-                pools = [sorted(open_assignments, key=lambda b: -b.i)]
+                pools = [sorted(assigns, key=lambda b: -b.i)]
             for pool_b in pools:
                 for b in pool_b:
-                    for choice in pull_choices(b):
-                        apply_pull(choice)
-                        trial_picks = solve_fixed_batch(open_assignments, batch)
-                        trial = (sum(p is None for p in trial_picks),
-                                 fold_cost(trial_picks))
-                        if trial < (score, cost):
-                            picks = trial_picks
-                            score, cost = trial
-                            return True
-                        revert_pull(choice)
-            return False
+                    for trial in pulls(state, b):
+                        trial_picks = solve_fixed_batch(*trial)
+                        trial_rank = rank(trial, trial_picks)
+                        if trial_rank < best:
+                            return trial, trial_picks, trial_rank
+            return None
 
-        # each kept pull takes a target off open_assignments, so this ends
-        while keep_a_pull():
-            pass
+        kept = state, picks, rank(state, picks)
+        # each kept pull takes an assignment off the open list, so this ends
+        while (better := first_better(*kept)) is not None:
+            kept = better
+        if kept[2][0] == 0:
+            state, picks, _ = kept
+        # otherwise no full fold: the first solve's picks stand
 
-        if score == 0:
-            final = list(batch)
-        else:
-            # no full fold: undo the pulls and keep the first solve's picks
-            prev[:] = prev_backup
-            open_assignments = list(assignments)
-            picks = first_picks
-
+    prev, batch, _, assigns = state
+    final = list(batch)
     deferred: list[Call] = []
-    for a, p in zip(open_assignments, picks):
+    for a, p in zip(assigns, picks):
         target = tree.vertex(a.target_level, a.target_offset)
         if p is not None:
             sid, path = p

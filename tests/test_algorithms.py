@@ -159,16 +159,18 @@ def test_alg3_root_time_is_limit():
 # ran longest when the search's bookkeeping was rewritten (five run its
 # 500k-node budget out; the (3,4) leaf stops at about 172k nodes), and
 # the (3,4) alg3 and (3,5) alg2 roots fold through the previous-step
-# exchange. The (3,3), (3,5) and (5,3) alg3 roots enter that exchange and
-# give it up. The (6,3) alg2 run from vertex 151 keeps its step only
-# through a detour source outside the target's subtree. The (3,3) alg2 run
-# from vertex 10 changes if the nearest-first walk breaks a tie toward the
-# higher offset instead of the lower one.
+# exchange; their digests move if a rejected trial pull leaves any trace
+# on the solves after it (the costs come out the same either way). The
+# (3,3), (3,5) and (5,3) alg3 roots enter that exchange and give it up.
+# The (6,3) alg2 run from vertex 151 keeps its step only through a detour
+# source outside the target's subtree. The (3,3) alg2 run from vertex 10
+# changes if the nearest-first walk breaks a tie toward the higher offset
+# instead of the lower one.
 SLOW_FOLDS = [
     ("alg3", 3, 4, 1, 284, 7,
-     "27f6f3a48307d8918a377fb1a547a0e29fb1bba8894a28222d25fe7400f49f7d"),
+     "aa130814bb11a616eb60d79f9de6d1f0f4effec069bacc5cfd461b5e593286ca"),
     ("alg2", 3, 5, 1, 608, 9,
-     "09078c7f28e19411b0772635167b3c60e137b92adb9ad5390b98acf37ff1f412"),
+     "e0ee98eda4939f70de01276dfbca39fe878646370df64c60de20c9585e177d84"),
     ("alg3", 6, 3, 1, 614, 9,
      "a9e6b7bcc47c7cbdab71b322f020e79feda8c6250fce7d70660ab9fb949b14c2"),
     ("alg3", 2, 5, 47, 191, 7,

@@ -106,6 +106,21 @@ def test_from_dict_error_is_typed():
     assert isinstance(info.value, LineBroadcastError)
 
 
+@pytest.mark.parametrize("call,message", [
+    ({"src": 1, "path": [2], "cost": 1}, "has no 'dst'"),
+    ({"src": 2, "dst": 2, "path": [], "cost": 0}, "'dst': 2.*is empty"),
+    ({"src": 1, "dst": 8, "path": [8], "cost": 1}, "'dst': 8.*not in"),
+], ids=["no-dst", "to-itself", "outside-the-tree"])
+def test_from_dict_rejects_a_bad_call(call, message):
+    data = {
+        "k": 2, "r": 2, "n": 7, "originator": 1, "algorithm": "x",
+        "steps": [{"t": 1, "calls": [call]}],
+        "total_time": 1, "total_cost": 1, "valid": True, "deviations": [],
+    }
+    with pytest.raises(ScheduleFormatError, match=message):
+        schedule_from_dict(data)
+
+
 def test_bounds_output(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--k", "2", "--r", "2")
     assert code == 0
@@ -155,6 +170,54 @@ def test_sweep_deterministic(tmp_path, capsys):
 def test_sweep_bad_range(capsys):
     code, _, err = run_cli(capsys, "sweep", "--k", "4..2", "--r", "1..1")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv,word", [
+    (("--k", "x", "--r", "1"), "range bound 'x'"),
+    (("--k", "2", "--r", "1", "--originators", "1,a"), "originator 'a'"),
+], ids=["range", "originators"])
+def test_sweep_bad_integer_is_usage_error(capsys, argv, word):
+    code, _, err = run_cli(capsys, "sweep", *argv)
+    assert code == 1
+    assert err.startswith("usage error: ") and word in err
+
+
+def test_sweep_parallel_caps_workers(tmp_path, capsys, monkeypatch):
+    import linebroadcast.cli as cli
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    serial = tmp_path / "serial.csv"
+    out = tmp_path / "out.csv"
+    run_cli(capsys, "sweep", "--k", "2..3", "--r", "1..2", "--out", str(serial))
+    # 4 cells on 3 cores, then 2 cells: never more workers than either
+    run_cli(capsys, "sweep", "--k", "2..3", "--r", "1..2",
+            "--parallel", "1000", "--out", str(out))
+    assert out.read_bytes() == serial.read_bytes()
+    run_cli(capsys, "sweep", "--k", "2", "--r", "1..2",
+            "--parallel", "1000", "--out", str(out))
+    assert asked == [3, 2]
+    # with the core count unknown, one worker: the sweep runs in process
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    run_cli(capsys, "sweep", "--k", "2..3", "--r", "1..2",
+            "--parallel", "1000", "--out", str(out))
+    assert asked == [3, 2]
+    assert out.read_bytes() == serial.read_bytes()
 
 
 def test_sweep_parallel_matches_serial(tmp_path, capsys):

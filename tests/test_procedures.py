@@ -218,6 +218,20 @@ def test_merge_upcalls_defers_when_budget_allows():
     )
 
 
+def test_merge_upcalls_leaves_its_input_unchanged():
+    # at (3,4) from the root the final step alone cannot hold the fan-up, so
+    # the previous-step exchange runs and keeps 6 pulls; each trial builds
+    # its own fold state, so the steps passed in stay as they were
+    t = new(3, 4)
+    frag = to_level(t, 4, t.root)
+    given = [list(step) for step in frag.steps]
+    steps, deferred = merge_upcalls(t, 4, t.root, frag.steps)
+    assert frag.steps == given
+    assert deferred == []
+    assert sum(c.dst.level != 4 for c in steps[-2]) == 6
+    assert steps[:-2] == given[:-2]
+
+
 def test_merge_cost_is_tolevel_plus_fanup():
     k, r = 3, 2
     t = new(k, r)
