@@ -10,6 +10,14 @@ Three schemes cover the (k, r) plane:
   * alg3 spreads to the leaves and folds the whole fan-up into the final
     spreading step.
 
+The one- and two-edge calls that make up most of a schedule are written
+down in closed form rather than climbed for: a parent feeding its child
+crosses (child,), and a vertex relaying to its sibling crosses (caller,
+sibling). alg1 tests those edges against the step inline, and the leaf
+stars need no test at all. Only alg1's longer calls (the deep
+originator's assist, the stragglers, the closing call, the safety net)
+climb.
+
 lbckt picks per (k, r) the cheapest scheme that still meets the global
 ceil(log2 n) step budget; the two guard comparisons use integer arithmetic
 only.
@@ -38,8 +46,8 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
     climb, by_id = tree.climb, tree.vertex_by_id
     sched = Schedule(tree, u, "alg1")
 
-    # the loops below work on breadth-first ids: the children of v are
-    # k(v-1)+2 .. k(v-1)+k+1, and a VertexRef is made only for a placed call
+    # the loops below work on breadth-first ids: the parent of v is
+    # (v-2)//k+1, its children are k(v-1)+2 .. k(v-1)+k+1, and a VertexRef is made only for a placed call
     # (straight from its level where the loop knows it: base[j] + offset is
     # the id of the vertex (j, offset))
     base = [tree.vertex_id(j, 1) - 1 for j in range(r + 1)]
@@ -49,12 +57,6 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
 
     # uninformed-children count per internal vertex id (lazy default k)
     rem_children: dict[int, int] = {}
-
-    def parent_id(v: int) -> int:
-        return (v - 2) // k + 1
-
-    def first_child_id(v: int) -> int:
-        return k * (v - 1) + 2
 
     def level_ids(level: int) -> list[int]:
         """The informed ids of a level, ascending: its ids are contiguous."""
@@ -91,21 +93,17 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
         used_edges: set[int] = set()
         serving: set[int] = set()
 
-        def place(src: int, dst: int, src_level: int | None = None,
-                  dst_level: int | None = None) -> bool:
-            path = climb(src, dst, used_edges)
-            if path is None:
-                return False
-            calls.append(Call(
-                by_id(src) if src_level is None
-                else VertexRef(src_level, src - base[src_level], src),
-                by_id(dst) if dst_level is None
-                else VertexRef(dst_level, dst - base[dst_level], dst),
-                tuple(path)))
-            used_src.add(src)
+        def add(src: VertexRef, dst: VertexRef, path: tuple[int, ...]) -> None:
+            calls.append(Call(src, dst, path))
+            used_src.add(src.id)
             used_edges.update(path)
-            serving.add(dst)
-            return True
+            serving.add(dst.id)
+
+        def place(src: int, dst: int) -> bool:
+            path = climb(src, dst, used_edges)
+            if path is not None:
+                add(by_id(src), by_id(dst), tuple(path))
+            return path is not None
 
         # deep-originator assist: keep feeding level 1 while it is incomplete
         if deep and u.id not in used_src:
@@ -138,7 +136,7 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
                 placed = False
                 anc = vid
                 while anc > 1:
-                    anc = parent_id(anc)
+                    anc = (anc - 2) // k + 1
                     if informed[anc] and anc not in used_src and place(anc, vid):
                         placed = True
                         break
@@ -146,33 +144,38 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
                     still_late.append(vid)
             late = still_late
 
-        # parents feed children (cost 1)
+        # parents feed children (cost 1): the path is the child's edge
         parent_levels = range(0, r) if overtime else (jj - 1,)
         for lvl in parent_levels:
             for pid in level_ids(lvl):
                 if rem_children.get(pid, k) == 0 or pid in used_src:
                     continue
-                first = first_child_id(pid)
+                first = k * (pid - 1) + 2
                 for cid in range(first, first + k):
                     if not informed[cid] and cid not in serving:
-                        place(pid, cid, lvl, lvl + 1)
+                        if cid not in used_edges:
+                            add(VertexRef(lvl, pid - base[lvl], pid),
+                                VertexRef(lvl + 1, cid - base[lvl + 1], cid), (cid,))
                         break
 
-        # informed children relay to siblings through the parent (cost 2)
+        # informed children relay to siblings through the parent (cost 2):
+        # the path is the caller's edge, then the sibling's
         sibling_levels = range(1, r + 1) if overtime else (jj,)
         for lvl in sibling_levels:
             for wid in level_ids(lvl):
                 if wid in used_src:
                     continue
-                pid = parent_id(wid)
+                pid = (wid - 2) // k + 1
                 if rem_children.get(pid, k) == 0:
                     continue
                 if not informed[pid] and lvl != 1:
                     continue
-                first = first_child_id(pid)
+                first = k * (pid - 1) + 2
                 for sid in range(first, first + k):
                     if not informed[sid] and sid not in serving:
-                        place(wid, sid, lvl, lvl)
+                        if wid not in used_edges and sid not in used_edges:
+                            add(VertexRef(lvl, wid - base[lvl], wid),
+                                VertexRef(lvl, sid - base[lvl], sid), (wid, sid))
                         break
 
         # closing call: once only the root is missing, a level-1 vertex
@@ -199,7 +202,7 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
             informed[vid] = 1
             informed_count += 1
             if vid > 1:
-                pid = parent_id(vid)
+                pid = (vid - 2) // k + 1
                 rem_children[pid] = rem_children.get(pid, k) - 1
         steps.append(calls)
 
@@ -218,7 +221,6 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
 def _leaf_star_steps(tree: CompleteKTree, pre_informed: set[int]) -> list[list[Call]]:
     """Parallel stars: every level-(r-1) vertex feeds its k leaf children."""
     k, r = tree.k, tree.r
-    climb = tree.climb
     parents = tree.level_vertices(r - 1)
     leaf_base = tree.vertex_id(r, 1) - 1
     # the informed leaves under each parent id, as refs sorted by id (refs
@@ -236,9 +238,15 @@ def _leaf_star_steps(tree: CompleteKTree, pre_informed: set[int]) -> list[list[C
         for p in parents:
             first = k * (p.id - 1) + 2
             targets = [cid for cid in range(first, first + k) if cid not in informed]
-            for src, cid in zip([p, *informed_children[p.id]], targets):
+            if not targets:
+                continue
+            # the parent's call is the first target's edge; each informed
+            # leaf relays through the parent, its own edge then the target's
+            cid = targets[0]
+            calls.append(Call(p, VertexRef(r, cid - leaf_base, cid), (cid,)))
+            for src, cid in zip(informed_children[p.id], targets[1:]):
                 calls.append(Call(src, VertexRef(r, cid - leaf_base, cid),
-                                  tuple(climb(src.id, cid))))
+                                  (src.id, cid)))
         for c in calls:
             informed.add(c.dst.id)
             insort(informed_children[(c.dst.id - 2) // k + 1], c.dst)

@@ -70,18 +70,29 @@ def schedule_to_dict(schedule: Schedule, valid: bool) -> dict:
     }
 
 
+def _vertex_id(where: str, record: dict, field: str) -> int:
+    """record[field] as a vertex id: an int, and not a bool."""
+    vid = record[field]
+    if not isinstance(vid, int) or isinstance(vid, bool):
+        raise ScheduleFormatError(f"{where}: {field!r} is not an integer id: {vid!r}")
+    return vid
+
+
 def schedule_from_dict(data: dict) -> Schedule:
     """Rebuild a schedule from its JSON form, re-deriving and checking paths."""
+    for field in ("k", "r", "originator", "steps"):
+        if field not in data:
+            raise ScheduleFormatError(f"schedule has no {field!r}")
     tree = CompleteKTree(data["k"], data["r"])
-    sched = Schedule(tree, tree.vertex_by_id(data["originator"]),
+    sched = Schedule(tree, tree.vertex_by_id(_vertex_id("schedule", data, "originator")),
                      data.get("algorithm", ""))
     sched.deviations = list(data.get("deviations", []))
     for step in data["steps"]:
         calls = []
         for c in step["calls"]:
             try:
-                src = tree.vertex_by_id(c["src"])
-                dst = tree.vertex_by_id(c["dst"])
+                src = tree.vertex_by_id(_vertex_id(f"call {c}", c, "src"))
+                dst = tree.vertex_by_id(_vertex_id(f"call {c}", c, "dst"))
                 path = tree.path(src, dst)
                 given = list(c["path"])
             except KeyError as exc:

@@ -29,8 +29,11 @@ dedicated follow-up step. Each fan-up target's source options are produced
 as the search asks for them, so the path of an option the search never
 reaches is never built.
 
-to_level tests a candidate call's edges while climbing its ids
-(CompleteKTree.climb), and builds a call only for a placement that fits.
+to_level writes each step's sibling relays down in closed form: the path
+of a call between two vertices of one k-block is (caller id, target id),
+and no edge test can fail while they are placed first. The wider relays
+and the originator's call test their edges while climbing ids
+(CompleteKTree.climb), and a call is built only for a placement that fits.
 """
 
 from __future__ import annotations
@@ -140,16 +143,31 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
     matched to callers by relay scale, tightest first: sibling pairs, then
     pairs meeting one level higher, and so on; the originator picks up the
     first target local relays missed, and through-the-root relays mop up.
-    Every placement re-checks edge-disjointness against the step so far,
-    while it climbs; the callers of one range all meet the target at the
-    same ancestor, so their shared way down to it is checked once.
+
+    For j >= 2 a step opens with the sibling pass: each batch target, in
+    order, hears from the nearest idle informed offset of its k-block (a
+    tie goes to the lower offset), along the path (caller id, target id).
+    No edge test can fail in this pass. It runs first in the step, so the
+    only edges in use are those of its own calls: each is the edge above
+    an earlier caller (informed, and now a used source) or above an
+    earlier target (uninformed, and another batch entry). This call's
+    caller is informed and idle, so it is neither; its target is
+    uninformed and a new batch entry, so it is neither either.
+
+    Every later placement checks edge-disjointness against the step so
+    far while it climbs. At the wider scales a caller outside the target's
+    next-deeper subtree meets it at their common level-lvl ancestor, so
+    the way down from that ancestor is climbed once per target and each
+    caller only climbs up to it.
     """
     if not 1 <= j <= tree.r:
         raise OutOfRange(f"level {j} not in [1, {tree.r}]")
     k = tree.k
     size = k**j
     climb = tree.climb
-    base = tree.vertex_id(j, 1) - 1
+    # level_base[i] + offset is the id of the vertex (i, offset)
+    level_base = [(k**i - 1) // (k - 1) for i in range(j + 1)]
+    base = level_base[j]
 
     u_off = u.offset if u.level == j else None
     informed = bytearray(size + 1)
@@ -167,66 +185,86 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
 
     while pending:
         capacity = len(pool) + (1 if u.level != j else 0)
-        batch = pending[: min(capacity, len(pending))]
+        batch = pending[:capacity]
 
         calls: list[Call] = []
         used_sources: set[int] = set()
         used_edges: set[int] = set()
 
-        def place(sid: int, q_off: int) -> bool:
-            """Call from id sid (u, or a level-j vertex) to offset q_off."""
-            path = climb(sid, base + q_off, used_edges)
-            if path is None:
-                return False
+        def add(sid: int, q_off: int, path: tuple[int, ...]) -> None:
+            """Record the call from id sid (u, or a level-j vertex) to q_off."""
             src = u if sid == u.id else VertexRef(j, sid - base, sid)
-            calls.append(Call(src, VertexRef(j, q_off, base + q_off), tuple(path)))
+            calls.append(Call(src, VertexRef(j, q_off, base + q_off), path))
             used_sources.add(sid)
             used_edges.update(path)
-            return True
 
         def match_in_range(q_off: int, lvl: int) -> bool:
             """Idle informed caller for q among the level-lvl subtree's
-            vertices not already reachable one level deeper, nearest first."""
+            vertices outside q's level-(lvl+1) subtree, nearest first."""
             span = k ** (j - lvl)
-            lo_off = ((q_off - 1) // span) * span + 1
-            hi_off = lo_off + span - 1
+            lo_off = q_off - (q_off - 1) % span
             inner = span // k
-            inner_lo = ((q_off - 1) // inner) * inner + 1 if inner else q_off
-            inner_hi = inner_lo + inner - 1 if inner else q_off
+            inner_lo = q_off - (q_off - 1) % inner
+            inner_hi = inner_lo + inner - 1
             # every caller left meets q at their level-lvl ancestor, so all
-            # their calls share its way down to q: test that once
-            top = tree.vertex_id(lvl, (q_off - 1) // span + 1)
-            if climb(top, base + q_off, used_edges) is None:
+            # their calls share its way down to q: climb that once, and
+            # each caller only up to it
+            top = level_base[lvl] + (q_off - 1) // span + 1
+            down = climb(top, base + q_off, used_edges)
+            if down is None:
                 return False
             for c_off in _nearest_first(pool, q_off, bisect_left(pool, lo_off),
-                                        bisect_left(pool, hi_off + 1)):
+                                        bisect_left(pool, lo_off + span)):
                 if inner_lo <= c_off <= inner_hi:
                     continue  # tried at a tighter radius already
-                if base + c_off in used_sources:
+                sid = base + c_off
+                if sid in used_sources:
                     continue
-                if place(base + c_off, q_off):
+                up = climb(sid, top, used_edges)
+                if up is not None:
+                    add(sid, q_off, (*up, *down))
                     return True
             return False
 
-        # match by relay scale, tightest first: all sibling pairs, then all
-        # pairs meeting one level higher, and so on. A caller only leaves
-        # its subtree after every target inside it is spoken for, so no call
-        # burns an edge a deeper obligation still needs.
-        unserved = list(batch)
-        for lvl in range(j - 1, 0, -1):
+        # the sibling pass: each target, in order, hears from the nearest
+        # idle informed vertex of its k-block (no edge test: see above). At
+        # j = 1 the block is the whole level and its relays are the
+        # through-the-root mop-up below, which comes after the originator
+        if j == 1:
+            unserved = batch
+        else:
+            unserved = []
+            for q_off in batch:
+                lo_off = q_off - (q_off - 1) % k
+                for d in range(1, k):  # the lower offset first on a tie
+                    c_off = q_off - d
+                    if c_off >= lo_off and informed[c_off] and base + c_off not in used_sources:
+                        break
+                    c_off = q_off + d
+                    if c_off < lo_off + k and informed[c_off] and base + c_off not in used_sources:
+                        break
+                else:
+                    unserved.append(q_off)
+                    continue
+                add(base + c_off, q_off, (base + c_off, base + q_off))
+
+        # then by relay scale, tightest first: pairs meeting two levels up,
+        # then three, and so on. A caller only leaves its subtree after every
+        # target inside it is spoken for, so no call burns an edge a deeper
+        # obligation still needs.
+        for lvl in range(j - 2, 0, -1):
             if not unserved:
                 break
-            still = []
-            for q_off in unserved:
-                if not match_in_range(q_off, lvl):
-                    still.append(q_off)
-            unserved = still
+            unserved = [q_off for q_off in unserved
+                        if not match_in_range(q_off, lvl)]
 
         # the originator picks up the first target local relays missed (its
         # one-way path has the smallest edge footprint), and only then do
         # through-the-root relays mop up
         if unserved and u.id not in used_sources:
-            if place(u.id, unserved[0]):
+            path = climb(u.id, base + unserved[0], used_edges)
+            if path is not None:
+                add(u.id, unserved[0], tuple(path))
                 unserved = unserved[1:]
         for q_off in unserved:
             match_in_range(q_off, 0)
@@ -257,7 +295,8 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
             informed[off] = 1
             pool.append(off)
         pool.sort()
-        pending = [off for off in pending if not informed[off]]
+        # only batch targets are delivered
+        pending = [off for off in batch if not informed[off]] + pending[len(batch):]
         steps.append(calls)
 
     return Fragment(steps)

@@ -1,8 +1,10 @@
 """End-to-end schedule builders and the dispatcher."""
 
 import hashlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -207,7 +209,9 @@ def test_slow_fold_schedules_unchanged(name, k, r, uid, cost, steps, digest):
 # power of two, so the root comes last), to_level(j=4) from a leaf at
 # (5,4), and lbckt (alg3 there) from a leaf at (8,3). The last two are the
 # heaviest large-tree builds: lbckt from the root at (8,5) and alg1 from a
-# leaf at (7,5).
+# leaf at (7,5). alg1 from the root at (7,5) pins the feeds and sibling
+# relays with no opening relay, and alg2 at (6,5) from the root and from
+# leaf 5443 pins the leaf stars (the second with one leaf informed).
 BUILDER_PINS = [
     ("alg1", 7, 3, 229, 630, 12,
      "4dfcf00eef413fa3ab545111803e6d464e15bf8fd6631cb6a79cfc4c396c1a75"),
@@ -221,6 +225,12 @@ BUILDER_PINS = [
      "3d1f7202a47050effff517a1080d8df854757591cdfb3915ea3361f7f88d029e"),
     ("alg1", 7, 5, 11205, 30745, 23,
      "b7ceda8739ddf77fed59d0551b43d113e839cb84a01ca07639ac4841c19c7d76"),
+    ("alg1", 7, 5, 1, 30811, 15,
+     "eef43f68435c79a06f7dd585aa733dc468e0062060561f0f944f3b4d0d69e5bb"),
+    ("alg2", 6, 5, 1, 15388, 14,
+     "c2c8784eb11bcd54a133926325e01222f7e5706991e22d7da6e4e3209212d201"),
+    ("alg2", 6, 5, 5443, 15300, 15,
+     "36ac715763e5bb0d7bc0c8fdafb88c1eb9a394f341c4a6112a45c0db448fab3e"),
 ]
 
 
@@ -231,11 +241,24 @@ def test_builder_schedules_unchanged(name, k, r, uid, cost, steps, digest):
     if name == "to_level:4":
         calls = to_level(t, 4, u).steps
     else:
-        s = alg1(t, u) if name == "alg1" else lbckt(t, u)[0]
+        s = {"alg1": alg1, "alg2": alg2,
+             "lbckt": lambda t, u: lbckt(t, u)[0]}[name](t, u)
         calls = [st.calls for st in s.steps]
     trace = [[[c.src.id, c.dst.id, list(c.path)] for c in st] for st in calls]
     assert hashlib.sha256(json.dumps(trace).encode()).hexdigest() == digest
     assert (sum(c.cost for st in calls for c in st), len(calls)) == (cost, steps)
+
+
+def test_large_trees_family_unchanged():
+    """The 37 lbckt schedules of perfbench's large-trees workload, digested
+    as tools/schedule_digest.py does."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "schedule_digest.py"
+    spec = importlib.util.spec_from_file_location("schedule_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    items = dict(tool.families())["large-trees"]
+    assert tool.digest(items) == (
+        "b38e35f1cb4915fed8eaaa15417fa91ec03b7b6f3dc88071e34457a3b32b8c37", 37)
 
 
 def test_lbckt_dispatch():

@@ -110,13 +110,26 @@ def test_from_dict_error_is_typed():
     ({"src": 1, "path": [2], "cost": 1}, "has no 'dst'"),
     ({"src": 2, "dst": 2, "path": [], "cost": 0}, "'dst': 2.*is empty"),
     ({"src": 1, "dst": 8, "path": [8], "cost": 1}, "'dst': 8.*not in"),
-], ids=["no-dst", "to-itself", "outside-the-tree"])
+    ({"src": "a", "dst": 2, "path": [2], "cost": 1}, "'src' is not an integer id: 'a'"),
+    ({"src": 1.0, "dst": 2, "path": [2], "cost": 1}, "'src' is not an integer id: 1.0"),
+    ({"src": 2, "dst": True, "path": [2], "cost": 1}, "'dst' is not an integer id: True"),
+], ids=["no-dst", "to-itself", "outside-the-tree", "text-src", "float-src", "bool-dst"])
 def test_from_dict_rejects_a_bad_call(call, message):
     data = {
         "k": 2, "r": 2, "n": 7, "originator": 1, "algorithm": "x",
         "steps": [{"t": 1, "calls": [call]}],
         "total_time": 1, "total_cost": 1, "valid": True, "deviations": [],
     }
+    with pytest.raises(ScheduleFormatError, match=message):
+        schedule_from_dict(data)
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"k": 2, "r": 2, "originator": 1}, "has no 'steps'"),
+    ({"k": 2, "r": 2, "originator": True, "steps": []},
+     "'originator' is not an integer id: True"),
+], ids=["no-steps", "bool-originator"])
+def test_from_dict_rejects_a_bad_document(data, message):
     with pytest.raises(ScheduleFormatError, match=message):
         schedule_from_dict(data)
 

@@ -107,17 +107,23 @@ def families():
     yield "root-lbckt", root(lbckt)
 
 
+def digest(items) -> tuple[str, int]:
+    """The SHA-256 digest of one family's (label, trace) items, and their count."""
+    sha = hashlib.sha256()
+    count = 0
+    for label, trace in items:
+        sha.update(json.dumps(label).encode())
+        sha.update(trace)
+        count += 1
+    return sha.hexdigest(), count
+
+
 def main() -> int:
     total = perf_counter()
     for name, items in families():
         start = perf_counter()
-        digest = hashlib.sha256()
-        count = 0
-        for label, trace in items:
-            digest.update(json.dumps(label).encode())
-            digest.update(trace)
-            count += 1
-        print(f"{name:15} {digest.hexdigest()} {count:6d} {perf_counter() - start:7.1f} s",
+        hexdigest, count = digest(items)
+        print(f"{name:15} {hexdigest} {count:6d} {perf_counter() - start:7.1f} s",
               flush=True)
     print(f"total {perf_counter() - total:.1f} s")
     return 0
