@@ -16,7 +16,8 @@ crosses (child,), and a vertex relaying to its sibling crosses (caller,
 sibling). alg1 tests those edges against the step inline, and the leaf
 stars need no test at all. Only alg1's longer calls (the deep
 originator's assist, the stragglers, the closing call, the safety net)
-climb.
+climb. Every builder writes its calls' ids and paths straight into
+array-backed steps (schedule.Step) and makes no Call or VertexRef.
 
 lbckt picks per (k, r) the cheapest scheme that still meets the global
 ceil(log2 n) step budget; the two guard comparisons use integer arithmetic
@@ -30,7 +31,7 @@ from itertools import compress
 
 from .bounds import DispatchCase, ceil_log2, lbckt_case
 from .ktree import CompleteKTree, VertexRef
-from .schedule import Call, Schedule, make_call
+from .schedule import Schedule, Step
 from .procedures import merge_upcalls, to_level
 
 
@@ -43,38 +44,42 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
     n = tree.n
     lam = ceil_log2(k + 1)
     power_of_two = (k & (k - 1)) == 0
-    climb, by_id = tree.climb, tree.vertex_by_id
+    climb = tree.climb
     sched = Schedule(tree, u, "alg1")
 
     # the loops below work on breadth-first ids: the parent of v is
-    # (v-2)//k+1, its children are k(v-1)+2 .. k(v-1)+k+1, and a VertexRef is made only for a placed call
-    # (straight from its level where the loop knows it: base[j] + offset is
-    # the id of the vertex (j, offset))
+    # (v-2)//k+1, its children are k(v-1)+2 .. k(v-1)+k+1, and base[j] +
+    # offset is the id of the vertex (j, offset)
     base = [tree.vertex_id(j, 1) - 1 for j in range(r + 1)]
     informed = bytearray(n + 1)
     informed[u.id] = 1
     informed_count = 1
 
-    # uninformed-children count per internal vertex id (lazy default k)
-    rem_children: dict[int, int] = {}
+    # uninformed-children count per vertex id (a leaf's is never read)
+    rem_children = [k] * (n + 1)
 
     def level_ids(level: int) -> list[int]:
         """The informed ids of a level, ascending: its ids are contiguous."""
         lo, hi = base[level] + 1, base[level] + k**level + 1
         return list(compress(range(lo, hi), informed[lo:hi]))
 
-    steps: list[list[Call]] = []
+    steps: list[Step] = []
 
     # a deep originator opens by relaying to the root, unless k is a power of
     # two (then the root is picked up by the closing call instead)
     deep = u.level >= 2
     if deep and not power_of_two:
-        call = make_call(tree, u, tree.root)
-        steps.append([call])
+        step = Step(tree)
+        step.add(u.id, 1, climb(u.id, 1))
+        steps.append(step)
         informed[1] = 1
         informed_count += 1
-        sched.deviations.append(f"alg1:originator-relay-cost={call.cost}")
-    u_anc = tree.ancestor_at_level(u, 1).id if deep else None
+        sched.deviations.append(f"alg1:originator-relay-cost={step.cost()}")
+    # the originator's level-1 ancestor (the level-1 ids are 2 .. k + 1),
+    # which only a deep originator's assist reads
+    u_anc = u.id
+    while u_anc > k + 1:
+        u_anc = (u_anc - 2) // k + 1
 
     late: list[int] = []          # vertices whose round has already passed
     swept_through = 0             # levels 0..swept_through already swept into late
@@ -88,21 +93,26 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
         jj = min(r, (t - 1) // lam + 1)
         overtime = t > r * lam
 
-        calls: list[Call] = []
+        step = Step(tree)
+        src_ids, dst_ids, ends, edges = step.src, step.dst, step.ends, step.edges
         used_src: set[int] = set()
         used_edges: set[int] = set()
         serving: set[int] = set()
 
-        def add(src: VertexRef, dst: VertexRef, path: tuple[int, ...]) -> None:
-            calls.append(Call(src, dst, path))
-            used_src.add(src.id)
+        def add(src: int, dst: int, path) -> None:
+            """Step.add, written out: this runs once per call placed."""
+            src_ids.append(src)
+            dst_ids.append(dst)
+            edges.extend(path)
+            ends.append(len(edges))
+            used_src.add(src)
             used_edges.update(path)
-            serving.add(dst.id)
+            serving.add(dst)
 
         def place(src: int, dst: int) -> bool:
             path = climb(src, dst, used_edges)
             if path is not None:
-                add(by_id(src), by_id(dst), tuple(path))
+                add(src, dst, path)
             return path is not None
 
         # deep-originator assist: keep feeding level 1 while it is incomplete
@@ -148,14 +158,13 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
         parent_levels = range(0, r) if overtime else (jj - 1,)
         for lvl in parent_levels:
             for pid in level_ids(lvl):
-                if rem_children.get(pid, k) == 0 or pid in used_src:
+                if rem_children[pid] == 0 or pid in used_src:
                     continue
                 first = k * (pid - 1) + 2
                 for cid in range(first, first + k):
                     if not informed[cid] and cid not in serving:
                         if cid not in used_edges:
-                            add(VertexRef(lvl, pid - base[lvl], pid),
-                                VertexRef(lvl + 1, cid - base[lvl + 1], cid), (cid,))
+                            add(pid, cid, (cid,))
                         break
 
         # informed children relay to siblings through the parent (cost 2):
@@ -166,7 +175,7 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
                 if wid in used_src:
                     continue
                 pid = (wid - 2) // k + 1
-                if rem_children.get(pid, k) == 0:
+                if rem_children[pid] == 0:
                     continue
                 if not informed[pid] and lvl != 1:
                     continue
@@ -174,8 +183,7 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
                 for sid in range(first, first + k):
                     if not informed[sid] and sid not in serving:
                         if wid not in used_edges and sid not in used_edges:
-                            add(VertexRef(lvl, wid - base[lvl], wid),
-                                VertexRef(lvl, sid - base[lvl], sid), (wid, sid))
+                            add(wid, sid, (wid, sid))
                         break
 
         # closing call: once only the root is missing, a level-1 vertex
@@ -190,24 +198,23 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
                 if not done and u.id not in used_src:
                     place(u.id, 1)
 
-        if not calls:
+        if not len(step):
             # safety net: any informed vertex can reach any uninformed one
             target = next(vid for vid in range(1, n + 1) if not informed[vid])
             src = u.id if u.id not in used_src else next(
                 vid for vid in range(1, n + 1) if informed[vid])
             place(src, target)
 
-        for c in calls:
-            vid = c.dst.id
+        for vid in step.dst:
             informed[vid] = 1
             informed_count += 1
             if vid > 1:
                 pid = (vid - 2) // k + 1
-                rem_children[pid] = rem_children.get(pid, k) - 1
-        steps.append(calls)
+                rem_children[pid] -= 1
+        steps.append(step)
 
-    for calls in steps:
-        sched.append_step(calls)
+    for step in steps:
+        sched.append_step(step)
     overrun = sched.total_time() - r * lam
     if overrun > 0:
         sched.deviations.append(f"alg1:time-over-rounds=+{overrun}")
@@ -218,40 +225,39 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
 # alg2: spread to level r-1, fan up, fill the leaf stars
 # ---------------------------------------------------------------------------
 
-def _leaf_star_steps(tree: CompleteKTree, pre_informed: set[int]) -> list[list[Call]]:
+def _leaf_star_steps(tree: CompleteKTree, pre_informed: set[int]) -> list[Step]:
     """Parallel stars: every level-(r-1) vertex feeds its k leaf children."""
     k, r = tree.k, tree.r
-    parents = tree.level_vertices(r - 1)
-    leaf_base = tree.vertex_id(r, 1) - 1
-    # the informed leaves under each parent id, as refs sorted by id (refs
-    # of one level sort by offset); a leaf's ref is made once, for the call
-    # that informs it. The children of p are k(p-1)+2 .. k(p-1)+k+1
-    informed_children: dict[int, list[VertexRef]] = {p.id: [] for p in parents}
+    first_parent = tree.vertex_id(r - 1, 1)
+    parents = range(first_parent, first_parent + k ** (r - 1))
+    # the informed leaf ids under each parent id, sorted. The children of p
+    # are k(p-1)+2 .. k(p-1)+k+1
+    informed_children: dict[int, list[int]] = {p: [] for p in parents}
     informed: set[int] = set(pre_informed)
     for lid in sorted(pre_informed):
-        informed_children[(lid - 2) // k + 1].append(VertexRef(r, lid - leaf_base, lid))
+        informed_children[(lid - 2) // k + 1].append(lid)
     remaining = k**r - len(pre_informed)
 
-    steps: list[list[Call]] = []
+    steps: list[Step] = []
     while remaining > 0:
-        calls: list[Call] = []
+        step = Step(tree)
+        add = step.add
         for p in parents:
-            first = k * (p.id - 1) + 2
+            first = k * (p - 1) + 2
             targets = [cid for cid in range(first, first + k) if cid not in informed]
             if not targets:
                 continue
             # the parent's call is the first target's edge; each informed
             # leaf relays through the parent, its own edge then the target's
             cid = targets[0]
-            calls.append(Call(p, VertexRef(r, cid - leaf_base, cid), (cid,)))
-            for src, cid in zip(informed_children[p.id], targets[1:]):
-                calls.append(Call(src, VertexRef(r, cid - leaf_base, cid),
-                                  (src.id, cid)))
-        for c in calls:
-            informed.add(c.dst.id)
-            insort(informed_children[(c.dst.id - 2) // k + 1], c.dst)
-            remaining -= 1
-        steps.append(calls)
+            add(p, cid, (cid,))
+            for sid, cid in zip(informed_children[p], targets[1:]):
+                add(sid, cid, (sid, cid))
+        for lid in step.dst:
+            informed.add(lid)
+            insort(informed_children[(lid - 2) // k + 1], lid)
+        remaining -= len(step)
+        steps.append(step)
     return steps
 
 
@@ -262,20 +268,22 @@ def alg2(tree: CompleteKTree, u: VertexRef) -> Schedule:
     if r == 1:
         # degenerate inner phase: the root is the only inner vertex
         if u.id != 1:
-            sched.append_step([make_call(tree, u, tree.root)])
-        for calls in _leaf_star_steps(tree, pre):
-            sched.append_step(calls)
+            step = Step(tree)
+            step.add(u.id, 1, tree.climb(u.id, 1))
+            sched.append_step(step)
+        for step in _leaf_star_steps(tree, pre):
+            sched.append_step(step)
         return sched
 
     spread = to_level(tree, r - 1, u)
     merged, deferred = merge_upcalls(tree, r - 1, u, spread.steps)
-    for calls in merged:
-        sched.append_step(calls)
-    if deferred:
+    for step in merged:
+        sched.append_step(step)
+    if len(deferred):
         sched.append_step(deferred)
         sched.deviations.append("alg2:fromlevel-deferred-step")
-    for calls in _leaf_star_steps(tree, pre):
-        sched.append_step(calls)
+    for step in _leaf_star_steps(tree, pre):
+        sched.append_step(step)
     return sched
 
 
@@ -288,9 +296,9 @@ def alg3(tree: CompleteKTree, u: VertexRef) -> Schedule:
     sched = Schedule(tree, u, "alg3")
     spread = to_level(tree, r, u)
     merged, deferred = merge_upcalls(tree, r, u, spread.steps)
-    for calls in merged:
-        sched.append_step(calls)
-    if deferred:
+    for step in merged:
+        sched.append_step(step)
+    if len(deferred):
         sched.append_step(deferred)
     limit = ceil_log2(tree.n)
     overrun = sched.total_time() - limit

@@ -21,7 +21,7 @@ from . import bounds
 from .algorithms import alg1, alg2, alg3, lbckt, lbckt_case
 from .errors import (LineBroadcastError, OutOfRange, SameVertex,
                      ScheduleFormatError, TooLarge)
-from .ktree import CompleteKTree
+from .ktree import CompleteKTree, VertexRef
 from .oracle import ORACLE_CAP, check_bracket
 from .procedures import from_level, to_level
 from .schedule import Call, Schedule, validate
@@ -56,9 +56,8 @@ def schedule_to_dict(schedule: Schedule, valid: bool) -> dict:
             {
                 "t": step.t,
                 "calls": [
-                    {"src": c.src.id, "dst": c.dst.id,
-                     "path": list(c.path), "cost": c.cost}
-                    for c in step.calls
+                    {"src": s, "dst": d, "path": path, "cost": len(path)}
+                    for s, d, path in step.id_calls()
                 ],
             }
             for step in schedule.steps
@@ -70,12 +69,31 @@ def schedule_to_dict(schedule: Schedule, valid: bool) -> dict:
     }
 
 
-def _vertex_id(where: str, record: dict, field: str) -> int:
-    """record[field] as a vertex id: an int, and not a bool."""
-    vid = record[field]
-    if not isinstance(vid, int) or isinstance(vid, bool):
-        raise ScheduleFormatError(f"{where}: {field!r} is not an integer id: {vid!r}")
-    return vid
+def _integer(where: str, record: dict, field: str, what: str = "integer") -> int:
+    """record[field] as an int, and not a bool."""
+    value = record[field]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ScheduleFormatError(f"{where}: {field!r} is not an {what}: {value!r}")
+    return value
+
+
+def _vertex(tree: CompleteKTree, where: str, record: dict, field: str) -> VertexRef:
+    """The vertex whose id is record[field]."""
+    vid = _integer(where, record, field, "integer id")
+    try:
+        return tree.vertex_by_id(vid)
+    except OutOfRange as exc:
+        raise ScheduleFormatError(f"{where}: {field!r}: {exc}") from exc
+
+
+def _listed(where: str, record: dict, field: str) -> list:
+    """record[field], which must be a JSON array."""
+    if field not in record:
+        raise ScheduleFormatError(f"{where} has no {field!r}")
+    value = record[field]
+    if not isinstance(value, list):
+        raise ScheduleFormatError(f"{where}: {field!r} is not a list: {value!r}")
+    return value
 
 
 def schedule_from_dict(data: dict) -> Schedule:
@@ -83,23 +101,27 @@ def schedule_from_dict(data: dict) -> Schedule:
     for field in ("k", "r", "originator", "steps"):
         if field not in data:
             raise ScheduleFormatError(f"schedule has no {field!r}")
-    tree = CompleteKTree(data["k"], data["r"])
-    sched = Schedule(tree, tree.vertex_by_id(_vertex_id("schedule", data, "originator")),
+    tree = CompleteKTree(_integer("schedule", data, "k"), _integer("schedule", data, "r"))
+    sched = Schedule(tree, _vertex(tree, "schedule", data, "originator"),
                      data.get("algorithm", ""))
     sched.deviations = list(data.get("deviations", []))
-    for step in data["steps"]:
+    for t, step in enumerate(_listed("schedule", data, "steps"), 1):
+        if not isinstance(step, dict):
+            raise ScheduleFormatError(f"step {t} is not an object: {step!r}")
         calls = []
-        for c in step["calls"]:
+        for c in _listed(f"step {t}", step, "calls"):
+            if not isinstance(c, dict):
+                raise ScheduleFormatError(f"call {c!r} of step {t} is not an object")
             try:
-                src = tree.vertex_by_id(_vertex_id(f"call {c}", c, "src"))
-                dst = tree.vertex_by_id(_vertex_id(f"call {c}", c, "dst"))
+                src = _vertex(tree, f"call {c}", c, "src")
+                dst = _vertex(tree, f"call {c}", c, "dst")
+                given = _listed(f"call {c}", c, "path")
                 path = tree.path(src, dst)
-                given = list(c["path"])
             except KeyError as exc:
                 raise ScheduleFormatError(f"call {c} has no {exc}") from exc
-            except (OutOfRange, SameVertex) as exc:
+            except SameVertex as exc:
                 raise ScheduleFormatError(f"call {c}: {exc}") from exc
-            if list(path) != given:
+            if path != given:
                 raise ScheduleFormatError(
                     f"path of {c['src']}->{c['dst']} is not the tree path")
             calls.append(Call(src, dst, tuple(path)))
@@ -131,15 +153,15 @@ def _build_run_schedule(tree, u, alg: str):
     if kind == "tolevel":
         frag = to_level(tree, j, u)
         sched = Schedule(tree, u, f"tolevel:{j}")
-        for calls in frag.steps:
-            sched.append_step(calls)
+        for step in frag.steps:
+            sched.append_step(step)
         expected = {u.id} | {v.id for v in tree.level_vertices(j)}
         return sched, case.number, None, expected
     level_ids = {v.id for v in tree.level_vertices(j)}
     frag = from_level(tree, j, u, informed=level_ids | {u.id})
     sched = Schedule(tree, u, f"fromlevel:{j}")
-    for calls in frag.steps:
-        sched.append_step(calls)
+    for step in frag.steps:
+        sched.append_step(step)
     expected = {u.id} | level_ids
     for lvl in range(j):
         expected |= {v.id for v in tree.level_vertices(lvl)}
@@ -161,7 +183,8 @@ def cmd_run(args) -> int:
         print(f"k={tree.k} r={tree.r} n={tree.n} originator={u.id} "
               f"algorithm={sched.algorithm_tag} case={case_number}")
         for step in sched.steps:
-            line = ", ".join(f"{c} path={list(c.path)} cost={c.cost}" for c in step.calls)
+            line = ", ".join(f"{s}->{d} path={path} cost={len(path)}"
+                             for s, d, path in step.id_calls())
             print(f"t={step.t}: {line}")
         print(f"total_time={sched.total_time()} time_limit={limit} "
               f"total_cost={sched.total_cost()} valid={str(report.ok).lower()} "
@@ -301,7 +324,8 @@ def cmd_oracle(args) -> int:
     print(f"k={tree.k} r={tree.r} n={tree.n} originator={u.id}")
     print(f"optimal_cost={opt} time={witness.total_time()}")
     for step in witness.steps:
-        line = ", ".join(f"{c} path={list(c.path)} cost={c.cost}" for c in step.calls)
+        line = ", ".join(f"{s}->{d} path={path} cost={len(path)}"
+                         for s, d, path in step.id_calls())
         print(f"t={step.t}: {line}")
     print(f"lower_bound={str(bracket.lower)} ({_frac_decimal(bracket.lower)})")
     print(f"algorithm_costs=" + ",".join(

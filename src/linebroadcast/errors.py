@@ -6,7 +6,7 @@ class LineBroadcastError(Exception):
 
 
 class InvalidParams(LineBroadcastError):
-    """Tree parameters outside the supported domain (k < 2 or r < 1)."""
+    """Tree parameters outside the supported domain: k < 2, r < 1, or not ints."""
 
 
 class Overflow(LineBroadcastError):

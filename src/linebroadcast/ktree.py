@@ -13,11 +13,13 @@ meets, so a schedule builder tests a candidate call while it climbs and
 builds the path only of a call it can place; path is the same climb with
 nothing to avoid.
 
-A vertex is handed around as a VertexRef, a NamedTuple (level, offset, id):
-a schedule holds two per call, so the record is a bare immutable tuple,
-with no per-instance dict, that compares and hashes by value. A builder
-that knows a vertex's level makes its ref directly; vertex_by_id searches
-the level of an arbitrary id and checks its range.
+A vertex is handed around as a VertexRef, a NamedTuple (level, offset, id)
+that compares and hashes by value. Schedules store bare ids, and a
+VertexRef is made on demand, by vertex_by_id, which searches the level of
+an arbitrary id and checks its range, when a step's calls are read as
+Call views.
+
+k and r must be ints (a bool is not one): a float k would give a float n.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ class CompleteKTree:
     __slots__ = ("k", "r", "n", "_level_base")
 
     def __init__(self, k: int, r: int):
+        for name, value in (("k", k), ("r", r)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidParams(f"{name} must be an int, got {value!r}")
         if k < 2 or r < 1:
             raise InvalidParams(f"need k >= 2 and r >= 1, got k={k}, r={r}")
         n = (k ** (r + 1) - 1) // (k - 1)

@@ -25,7 +25,7 @@ from .algorithms import alg1, alg2, alg3
 from .bounds import ceil_log2, lbckt_case, lower_bound, report
 from .errors import OutOfRange, TooLarge
 from .ktree import CompleteKTree, VertexRef
-from .schedule import Schedule, make_call, validate
+from .schedule import Schedule, Step, validate
 
 ORACLE_CAP = 15
 _INF = float("inf")
@@ -224,10 +224,11 @@ def optimal_cost(
                 break
         assert pick is not None
         nmask, cost = pick
-        calls = [make_call(tree, tree.vertex_by_id(s), tree.vertex_by_id(d))
-                 for s, d in searcher.realize(mask, nmask)]
-        assert sum(c.cost for c in calls) == cost
-        witness.append_step(calls)
+        step = Step(tree)
+        for s, d in searcher.realize(mask, nmask):
+            step.add(s, d, tree.climb(s, d))
+        assert step.cost() == cost
+        witness.append_step(step)
         mask, steps_left, owed = nmask, steps_left - 1, owed - cost
     return int(total), witness
 

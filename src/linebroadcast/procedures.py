@@ -33,11 +33,18 @@ to_level writes each step's sibling relays down in closed form: the path
 of a call between two vertices of one k-block is (caller id, target id),
 and no edge test can fail while they are placed first. The wider relays
 and the originator's call test their edges while climbing ids
-(CompleteKTree.climb), and a call is built only for a placement that fits.
+(CompleteKTree.climb), and a call is recorded only for a placement that
+fits.
+
+Steps are schedule.Step arrays throughout: each procedure writes its calls'
+ids and paths straight into them, merge_upcalls reads the given steps'
+source, destination and edge arrays, and a trial pull works on copies of
+the last two steps' arrays. No Call or VertexRef is made here.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -45,20 +52,41 @@ from itertools import islice
 
 from .errors import OutOfRange, PreconditionViolated
 from .ktree import CompleteKTree, VertexRef
-from .schedule import Call
+from .schedule import Step
 
 
 @dataclass
 class Fragment:
     """A run of consecutive steps meant to be spliced into a schedule."""
 
-    steps: list[list[Call]]
+    steps: list[Step]
 
     def duration(self) -> int:
         return len(self.steps)
 
     def cost(self) -> int:
-        return sum(c.cost for step in self.steps for c in step)
+        return sum(step.cost() for step in self.steps)
+
+
+def _copy_step(step: Step) -> Step:
+    """A step with copies of step's arrays, to change without changing step."""
+    out = Step(step.tree, step.t)
+    out.src, out.dst, out.ends, out.edges = (
+        step.src[:], step.dst[:], step.ends[:], step.edges[:])
+    return out
+
+
+def _with_call_at(step: Step, at: int, src: int, dst: int,
+                  path: Iterable[int]) -> Step:
+    """A copy of step with call number at replaced by src -> dst along path."""
+    out = _copy_step(step)
+    start = out.ends[at - 1] if at else 0
+    end = out.ends[at]
+    out.src[at], out.dst[at] = src, dst
+    out.edges[start:end] = array("q", path)
+    shift = len(out.edges) - len(step.edges)
+    out.ends[at:] = array("q", [e + shift for e in out.ends[at:]])
+    return out
 
 
 def _nearest_first(pool: list[int], q: int, lo: int = 0, hi: int | None = None):
@@ -181,20 +209,24 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
         order.extend(_round_target_list(k, j, m))
     pending = [off for off in order if not informed[off]]
 
-    steps: list[list[Call]] = []
+    steps: list[Step] = []
 
     while pending:
         capacity = len(pool) + (1 if u.level != j else 0)
         batch = pending[:capacity]
 
-        calls: list[Call] = []
+        step = Step(tree)
+        src_ids, dst_ids, ends, edges = step.src, step.dst, step.ends, step.edges
         used_sources: set[int] = set()
         used_edges: set[int] = set()
 
         def add(sid: int, q_off: int, path: tuple[int, ...]) -> None:
-            """Record the call from id sid (u, or a level-j vertex) to q_off."""
-            src = u if sid == u.id else VertexRef(j, sid - base, sid)
-            calls.append(Call(src, VertexRef(j, q_off, base + q_off), path))
+            """Record the call from id sid (u, or a level-j vertex) to
+            q_off: Step.add, written out, as this runs once per call."""
+            src_ids.append(sid)
+            dst_ids.append(base + q_off)
+            edges.extend(path)
+            ends.append(len(edges))
             used_sources.add(sid)
             used_edges.update(path)
 
@@ -271,33 +303,38 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
 
         # swap: if the originator idled, let it absorb the priciest call
         # it can run cheaper, edge-checked against the rest of the step
-        if u.id not in used_sources and calls:
+        if u.id not in used_sources and len(step):
+            # u's path to level j has at least |u.level - j| edges, so a call
+            # no longer than that plus the best gain so far is passed over
+            # without a climb
+            least = abs(u.level - j)
             best_gain, best = 0, None
-            for i, c in enumerate(calls):
-                upath = tree.path(u, c.dst)
-                gain = c.cost - len(upath)
+            for i, (_, did, path) in enumerate(step.id_calls()):
+                if len(path) - least <= best_gain:
+                    continue
+                upath = climb(u.id, did)
+                gain = len(path) - len(upath)
                 if gain > best_gain and all(
-                        e not in used_edges or e in c.path for e in upath):
-                    best_gain, best = gain, (i, upath)
+                        e not in used_edges or e in path for e in upath):
+                    best_gain, best = gain, (i, did, path, upath)
             if best is not None:
-                i, upath = best
-                old = calls[i]
-                calls[i] = Call(u, old.dst, tuple(upath))
-                used_edges.difference_update(old.path)
+                i, did, path, upath = best
+                step = _with_call_at(step, i, u.id, did, upath)
+                used_edges.difference_update(path)
                 used_edges.update(upath)
                 used_sources.add(u.id)
 
-        if not calls:
+        if not len(step):
             raise RuntimeError("to_level made no progress")  # pragma: no cover
 
-        for c in calls:
-            off = c.dst.offset
+        for did in step.dst:
+            off = did - base
             informed[off] = 1
             pool.append(off)
         pool.sort()
         # only batch targets are delivered
         pending = [off for off in batch if not informed[off]] + pending[len(batch):]
-        steps.append(calls)
+        steps.append(step)
 
     return Fragment(steps)
 
@@ -349,20 +386,22 @@ def from_level(
     """
     if not 1 <= j <= tree.r:
         raise OutOfRange(f"level {j} not in [1, {tree.r}]")
+    base = tree.vertex_id(j, 1) - 1
     if informed is not None:
-        missing = [v.id for v in tree.level_vertices(j) if v.id not in informed]
+        missing = [vid for vid in range(base + 1, base + tree.k**j + 1)
+                   if vid not in informed]
         if missing:
             raise PreconditionViolated(
                 f"{len(missing)} level-{j} vertices uninformed (first: {missing[:5]})"
             )
-    calls = []
+    step = Step(tree)
     for a in upcall_assignments(tree.k, j):
-        target = tree.vertex(a.target_level, a.target_offset)
-        if target.id == u.id:
+        tid = tree.vertex_id(a.target_level, a.target_offset)
+        if tid == u.id:
             continue
-        src = tree.vertex(j, a.leaf_offset)
-        calls.append(Call(src, target, tuple(tree.path(src, target))))
-    return Fragment([calls])
+        sid = base + a.leaf_offset
+        step.add(sid, tid, tree.climb(sid, tid))
+    return Fragment([step])
 
 
 def _cbj_assign(
@@ -477,8 +516,8 @@ def merge_upcalls(
     tree: CompleteKTree,
     j: int,
     u: VertexRef,
-    steps: list[list[Call]],
-) -> tuple[list[list[Call]], list[Call]]:
+    steps: list[Step],
+) -> tuple[list[Step], Step]:
     """Fold the fan-up step into the final step of a to_level run.
 
     Every fan-up source must have been informed before the final step and be
@@ -493,8 +532,10 @@ def merge_upcalls(
     built from the kept one, so a rejected trial leaves nothing to undo.
     Once everything fits, further pulls are kept only while they make the
     fold cheaper; when no pull reaches a full fold, the first solve stands.
-    Anything still unplaced is returned for a dedicated extra step. The
-    steps given are not changed.
+    Anything still unplaced is returned as the step for a dedicated extra
+    step (empty when everything folds). The steps given are not changed:
+    the final step, and a previous step that a pull changes, come back as
+    new steps.
     """
     hard = u.level == 0  # the step budget is only asserted from the root
     k = tree.k
@@ -502,9 +543,10 @@ def merge_upcalls(
     last = steps[-1]
     informed_before = {u.id}
     for step in steps[:-1]:
-        informed_before.update(c.dst.id for c in step)
-    batch_busy = {c.src.id for c in last}
+        informed_before.update(step.dst)
+    batch_busy = set(last.src)
     level_base = tree.vertex_id(j, 1) - 1
+    top = level_base + k**j  # the level-j ids are level_base + 1 .. top
 
     def subtree_span(a: UpcallAssignment) -> tuple[int, int]:
         lo = (a.t - 1) * k**a.i + 1
@@ -516,7 +558,6 @@ def merge_upcalls(
     ]
 
     def sorted_informed(informed: set[int]) -> list[int]:
-        top = level_base + k**j
         return sorted(vid - level_base for vid in informed
                       if level_base < vid <= top)
 
@@ -538,16 +579,17 @@ def merge_upcalls(
     assignments.sort(key=lambda a: (free_in_span(a), a.i, a.t))
 
     def upcall_options(a: UpcallAssignment, skip_busy: set[int], pool: list[int],
-                       raised: list[VertexRef]):
+                       raised: list[int]):
         """a's (source id, path) options, best first, each path built when
         the search asks for the option. pool is the informed level-j
-        offsets, sorted; skip_busy holds the ids that already send."""
+        offsets, sorted; skip_busy holds the ids that already send; raised
+        holds the ids above level j that the previous step informs."""
         lo, hi = subtree_span(a)
         tid = tree.vertex_id(a.target_level, a.target_offset)
         # targets a pulled fan-up call informed a step early, nearest first
-        for v in sorted(raised, key=lambda v: (len(climb(v.id, tid)), v.id)):
-            if v.id not in skip_busy:
-                yield v.id, tuple(climb(v.id, tid))
+        for vid in sorted(raised, key=lambda vid: (len(climb(vid, tid)), vid)):
+            if vid not in skip_busy:
+                yield vid, tuple(climb(vid, tid))
         for off in _nearest_first(pool, a.leaf_offset, *in_span(pool, a)):
             sid = level_base + off
             if sid not in skip_busy:
@@ -576,8 +618,8 @@ def merge_upcalls(
         """Upcalls only: one pick per entry of assigns (None where
         unplaced), against the fold state as given."""
         pool = sorted_informed(informed)
-        pre_busy = {c.src.id for c in batch}
-        pre_edges = {e for c in batch for e in c.path}
+        pre_busy = set(batch.src)
+        pre_edges = set(batch.edges)
         pre: dict[int, tuple[int, tuple[int, ...]]] = {}
         rest_pos = []
         for pos, a in enumerate(assigns):
@@ -596,7 +638,8 @@ def merge_upcalls(
                     pre_edges.add(hit)
                     continue
             rest_pos.append(pos)
-        raised = [c.dst for c in prev or () if c.dst.level != j]
+        raised = [] if prev is None else [
+            vid for vid in prev.dst if not level_base < vid <= top]
         # generators, read no further than _cbj_assign asks, in this call
         opts = [upcall_options(assigns[p], pre_busy, pool, raised)
                 for p in rest_pos]
@@ -622,18 +665,17 @@ def merge_upcalls(
         # windows. Each trial pull is kept only when the re-solved fold
         # leaves fewer calls unplaced, or as many at a lower cost.
 
-        def displaced_delivery(dst: VertexRef, informed: set[int],
-                               busy: set[int], edges: set[int]) -> Call | None:
-            """Serve dst in the final step from an idle window sibling, the
-            step's deliveries sending from busy over edges."""
-            if dst.id in edges:
+        def displaced_delivery(did: int, informed: set[int], busy: set[int],
+                               edges: set[int]) -> int | None:
+            """An idle window sibling to serve the level-j id did in the
+            final step, the step's deliveries sending from busy over edges."""
+            if did in edges:
                 return None
-            w_lo = ((dst.offset - 1) // k) * k + 1
-            for off in range(w_lo, w_lo + k):
-                sid = level_base + off
-                if (sid != dst.id and sid in informed
+            w_lo = level_base + (did - level_base - 1) // k * k + 1
+            for sid in range(w_lo, w_lo + k):
+                if (sid != did and sid in informed
                         and sid not in busy and sid not in edges):
-                    return Call(tree.vertex(j, off), dst, (sid, dst.id))
+                    return sid
             return None
 
         def pulls(state, b: UpcallAssignment):
@@ -642,29 +684,30 @@ def merge_upcalls(
             own call usually does most of the covering). A caller whose
             delivery sources a final-step call keeps it."""
             prev, batch, informed, assigns = state
-            target = tree.vertex(b.target_level, b.target_offset)
-            prev_edges = {e for c in prev for e in c.path}
-            busy = {c.src.id for c in batch}
-            batch_edges = {e for c in batch for e in c.path}
-            for ci, c in enumerate(prev):
-                if c.dst.level != j or c.dst.id in busy:
+            tid = tree.vertex_id(b.target_level, b.target_offset)
+            prev_edges = set(prev.edges)
+            busy = set(batch.src)
+            batch_edges = set(batch.edges)
+            for ci, (sid, did, path) in enumerate(prev.id_calls()):
+                if not level_base < did <= top or did in busy:
                     continue
-                up_path = tree.path(c.src, target)
-                if any(e in prev_edges and e not in c.path for e in up_path):
+                up_path = climb(sid, tid)
+                if any(e in prev_edges and e not in path for e in up_path):
                     continue
-                moved = displaced_delivery(c.dst, informed, busy, batch_edges)
-                if moved is not None:
-                    yield ([*prev[:ci], Call(c.src, target, tuple(up_path)),
-                            *prev[ci + 1:]],
-                           [*batch, moved],
-                           (informed - {c.dst.id}) | {target.id},
+                mover = displaced_delivery(did, informed, busy, batch_edges)
+                if mover is not None:
+                    moved = _copy_step(batch)
+                    moved.add(mover, did, (mover, did))
+                    yield (_with_call_at(prev, ci, sid, tid, up_path),
+                           moved,
+                           (informed - {did}) | {tid},
                            [a for a in assigns if a is not b])
 
         def rank(state, picks) -> tuple[int, int]:
             """(calls unplaced, fold cost): lower is better."""
             prev, batch, _, _ = state
             return (sum(p is None for p in picks),
-                    sum(c.cost for c in prev) + sum(c.cost for c in batch)
+                    prev.cost() + batch.cost()
                     + sum(len(p[1]) for p in picks if p is not None))
 
         def pull_pool(assigns, a: UpcallAssignment) -> list[UpcallAssignment]:
@@ -714,16 +757,16 @@ def merge_upcalls(
         # otherwise no full fold: the first solve's picks stand
 
     prev, batch, _, assigns = state
-    final = list(batch)
-    deferred: list[Call] = []
+    final = _copy_step(batch)
+    deferred = Step(tree)
     for a, p in zip(assigns, picks):
-        target = tree.vertex(a.target_level, a.target_offset)
+        tid = tree.vertex_id(a.target_level, a.target_offset)
         if p is not None:
             sid, path = p
-            final.append(Call(tree.vertex_by_id(sid), target, path))
+            final.add(sid, tid, path)
         else:
-            src = tree.vertex(j, a.leaf_offset)
-            deferred.append(Call(src, target, tuple(tree.path(src, target))))
+            sid = level_base + a.leaf_offset
+            deferred.add(sid, tid, climb(sid, tid))
 
     out_steps = steps[:-1] + [final]
     if prev is not None:

@@ -14,21 +14,31 @@ Model conventions:
   * Re-informing an already informed vertex is a violation, not a warning.
   * Empty steps are retained but do not count toward total_time.
 
-A Call is a NamedTuple (src, dst, path) of two VertexRefs and the edge ids
-in travel order: an immutable record without a per-instance dict that
-compares and hashes by value, since a schedule of n vertices holds n - 1 of
-them.
+A step is stored as four parallel arrays of signed 64-bit ints: the calls'
+source ids, their destination ids, the offset where each call's path ends
+in a flat edge buffer, and that buffer. A schedule of n vertices holds
+n - 1 calls, and this way it keeps no object per call. The builders write
+ids straight into a step (Step.add). A Call, the NamedTuple (src, dst,
+path) of two VertexRefs and the edge ids in travel order, is a view:
+iterating a step, or Step.calls, builds one per call on demand, and
+Schedule.append_step packs a list of hand-made Calls into the arrays.
 
 The validator is a total pass: it reports every violation it finds instead
-of stopping at the first one. It re-derives each call's path by climbing
-ids and compares it with the call's path, list or tuple alike, and walks a
-path edge by edge only to name the edges it shares with earlier calls of
-its step.
+of stopping at the first one. It checks a step whole, with set operations
+on its id arrays: its sources are informed, its destinations are not, and
+no source, destination or edge appears twice. It checks each path against
+the tree by arithmetic where the path is short, a one-edge path (child,)
+between a vertex and its parent and a two-edge path (caller, sibling) under
+a shared parent or a climb through a grandparent, and climbs ids only for a
+path of three or more edges. Only a step that fails a check is walked call
+by call, to report each violation in order.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -55,10 +65,65 @@ def make_call(tree: CompleteKTree, src: VertexRef, dst: VertexRef) -> Call:
     return Call(src, dst, tuple(tree.path(src, dst)))
 
 
-@dataclass
 class Step:
-    t: int
-    calls: list[Call]
+    """The calls of one time unit, as parallel arrays.
+
+    src[i] and dst[i] are call i's end ids, and its path is
+    edges[ends[i - 1]:ends[i]] (from 0 for the first call). t is the step's
+    number in its schedule, 0 outside one. Iterating a step gives its calls
+    as Call views, made with the tree's levels and offsets.
+    """
+
+    __slots__ = ("tree", "t", "src", "dst", "ends", "edges")
+
+    def __init__(self, tree: CompleteKTree, t: int = 0):
+        self.tree = tree
+        self.t = t
+        self.src = array("q")
+        self.dst = array("q")
+        self.ends = array("q")
+        self.edges = array("q")
+
+    def add(self, src: int, dst: int, path: Iterable[int]) -> None:
+        """Record the call from id src to id dst along path."""
+        self.src.append(src)
+        self.dst.append(dst)
+        self.edges.extend(path)
+        self.ends.append(len(self.edges))
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def cost(self) -> int:
+        return len(self.edges)
+
+    def id_calls(self) -> Iterator[tuple[int, int, list[int]]]:
+        """(source id, destination id, path) per call, read from the arrays."""
+        flat = self.edges.tolist()
+        start = 0
+        for s, d, end in zip(self.src, self.dst, self.ends):
+            yield s, d, flat[start:end]
+            start = end
+
+    def __iter__(self) -> Iterator[Call]:
+        ref = self.tree.vertex_by_id
+        for s, d, path in self.id_calls():
+            yield Call(ref(s), ref(d), tuple(path))
+
+    @property
+    def calls(self) -> list[Call]:
+        return list(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, Step):
+            return NotImplemented
+        return ((self.t, self.src, self.dst, self.ends, self.edges)
+                == (other.t, other.src, other.dst, other.ends, other.edges))
+
+    __hash__ = None  # the arrays can change
+
+    def __repr__(self):
+        return f"Step(t={self.t}, calls={len(self)}, cost={self.cost()})"
 
 
 class ViolationKind(str, enum.Enum):
@@ -98,17 +163,28 @@ class Schedule:
     steps: list[Step] = field(default_factory=list)
     deviations: list[str] = field(default_factory=list)
 
-    def append_step(self, calls: list[Call]) -> "Schedule":
-        """Append one step (no validation happens here; see validate)."""
-        self.steps.append(Step(len(self.steps) + 1, list(calls)))
+    def append_step(self, calls: Step | Iterable[Call]) -> "Schedule":
+        """Append one step (no validation happens here; see validate).
+
+        A Step built elsewhere is appended with its arrays shared, not
+        copied; hand-made Calls are packed into arrays.
+        """
+        step = Step(self.tree, len(self.steps) + 1)
+        if isinstance(calls, Step):
+            step.src, step.dst, step.ends, step.edges = (
+                calls.src, calls.dst, calls.ends, calls.edges)
+        else:
+            for c in calls:
+                step.add(c.src.id, c.dst.id, c.path)
+        self.steps.append(step)
         return self
 
     def total_cost(self) -> int:
-        return sum(c.cost for s in self.steps for c in s.calls)
+        return sum(len(s.edges) for s in self.steps)
 
     def total_time(self) -> int:
         """Number of non-empty steps."""
-        return sum(1 for s in self.steps if s.calls)
+        return sum(1 for s in self.steps if len(s))
 
     def informed_after(self, t: int) -> set[int]:
         """Ids informed once steps 1..t have run (t = 0 gives the originator)."""
@@ -116,8 +192,80 @@ class Schedule:
             raise OutOfRange(f"t={t} not in [0, {len(self.steps)}]")
         informed = {self.originator.id}
         for s in self.steps[:t]:
-            informed.update(c.dst.id for c in s.calls)
+            informed.update(s.dst)
         return informed
+
+
+def _off_path(tree: CompleteKTree, src: list[int], dst: list[int],
+              ends: list[int], flat: list[int]) -> Iterator[int]:
+    """The index of each call whose path is not the tree path between its
+    ends; a call to itself has no path and is not listed.
+
+    Ids are parents by arithmetic, (v - 2) // k + 1: a one-edge path is the
+    deeper end's edge, and a two-edge path joins two siblings under their
+    parent or climbs through a grandparent. Longer and empty paths are
+    climbed, and so is a call with an id outside the tree, for the climb
+    to raise OutOfRange.
+    """
+    k, n, climb = tree.k, tree.n, tree.climb
+    start = 0
+    for i, (s, d, end) in enumerate(zip(src, dst, ends)):
+        size = end - start
+        if s == d:
+            ok = True
+        elif size > 2 or size == 0 or not (0 < s <= n and 0 < d <= n):
+            ok = climb(s, d) == flat[start:end]
+        elif size == 1:
+            e = flat[start]
+            ok = (e == d and (d - 2) // k + 1 == s
+                  or e == s and (s - 2) // k + 1 == d)
+        else:
+            a, b = flat[start], flat[start + 1]
+            if a == s:
+                ok = ((s - 2) // k == (d - 2) // k if b == d
+                      else (s - 2) // k + 1 == b and (b - 2) // k + 1 == d)
+            else:
+                ok = b == d and (d - 2) // k + 1 == a and (a - 2) // k + 1 == s
+        if not ok:
+            yield i
+        start = end
+
+
+def _step_violations(tree: CompleteKTree, t: int, informed: set[int], src: list[int],
+                     dst: list[int], ends: list[int], flat: list[int]) -> list[Violation]:
+    """Every violation of one step, call by call and in order."""
+    off_path = set(_off_path(tree, src, dst, ends, flat))
+    out: list[Violation] = []
+    sources_seen: set[int] = set()
+    dests_seen: set[int] = set()
+    edges_used: set[int] = set()
+    start = 0
+    for i, (s, d, end) in enumerate(zip(src, dst, ends)):
+        path = flat[start:end]
+        start = end
+        if s not in informed:
+            out.append(Violation(t, ViolationKind.UNINFORMED_SOURCE,
+                                 f"source {s} not informed"))
+        if d in informed:
+            out.append(Violation(t, ViolationKind.DOUBLE_RECEIVE,
+                                 f"destination {d} already informed"))
+        if s in sources_seen:
+            out.append(Violation(t, ViolationKind.MULTI_SEND,
+                                 f"vertex {s} sends twice"))
+        sources_seen.add(s)
+        if d in dests_seen:
+            out.append(Violation(t, ViolationKind.DOUBLE_RECEIVE,
+                                 f"vertex {d} receives twice"))
+        dests_seen.add(d)
+        if i in off_path:
+            out.append(Violation(t, ViolationKind.PATH_MISMATCH,
+                                 f"call {s}->{d} does not travel the tree path"))
+        for edge in path:
+            if edge in edges_used:
+                out.append(Violation(t, ViolationKind.EDGE_CONFLICT,
+                                     f"edge child-{edge} used twice"))
+        edges_used.update(path)
+    return out
 
 
 def validate(
@@ -134,7 +282,8 @@ def validate(
     earlier phase). expected_informed overrides the coverage target, which
     defaults to all n vertices.
     """
-    n, climb = schedule.tree.n, schedule.tree.climb
+    tree = schedule.tree
+    n = tree.n
     informed: set[int] = {schedule.originator.id}
     if assume_informed:
         informed.update(assume_informed)
@@ -142,50 +291,19 @@ def validate(
     timeline: list[tuple[int, int]] = []
 
     for step in schedule.steps:
-        sources_seen: set[int] = set()
-        dests_seen: set[int] = set()
-        edges_used: set[int] = set()
-        for call in step.calls:
-            src, dst, path = call.src.id, call.dst.id, call.path
-            if src not in informed:
-                violations.append(
-                    Violation(step.t, ViolationKind.UNINFORMED_SOURCE,
-                              f"source {src} not informed")
-                )
-            if dst in informed:
-                violations.append(
-                    Violation(step.t, ViolationKind.DOUBLE_RECEIVE,
-                              f"destination {dst} already informed")
-                )
-            if src in sources_seen:
-                violations.append(
-                    Violation(step.t, ViolationKind.MULTI_SEND,
-                              f"vertex {src} sends twice")
-                )
-            sources_seen.add(src)
-            if dst in dests_seen:
-                violations.append(
-                    Violation(step.t, ViolationKind.DOUBLE_RECEIVE,
-                              f"vertex {dst} receives twice")
-                )
-            dests_seen.add(dst)
-            # a call to itself has no path, and is flagged above already;
-            # tuple() of a tuple path is the path itself, so only a path
-            # given as a list is copied
-            if src != dst and tuple(climb(src, dst)) != tuple(path):
-                violations.append(
-                    Violation(step.t, ViolationKind.PATH_MISMATCH,
-                              f"call {call} does not travel the tree path")
-                )
-            if not edges_used.isdisjoint(path):
-                for edge in path:
-                    if edge in edges_used:
-                        violations.append(
-                            Violation(step.t, ViolationKind.EDGE_CONFLICT,
-                                      f"edge child-{edge} used twice")
-                        )
-            edges_used.update(path)
-        informed.update(dests_seen)
+        src, dst = step.src.tolist(), step.dst.tolist()
+        ends, flat = step.ends.tolist(), step.edges.tolist()
+        received = set(dst)
+        # the whole step at once; a step that fails any check is walked
+        # call by call to report what it breaks
+        if not (len(received) == len(dst)
+                and informed.isdisjoint(received)
+                and informed.issuperset(src)
+                and len(set(src)) == len(src)
+                and len(set(flat)) == len(flat)
+                and next(_off_path(tree, src, dst, ends, flat), None) is None):
+            violations += _step_violations(tree, step.t, informed, src, dst, ends, flat)
+        informed |= received
         timeline.append((step.t, len(informed)))
 
     if expected_informed is None:

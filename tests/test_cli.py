@@ -113,7 +113,10 @@ def test_from_dict_error_is_typed():
     ({"src": "a", "dst": 2, "path": [2], "cost": 1}, "'src' is not an integer id: 'a'"),
     ({"src": 1.0, "dst": 2, "path": [2], "cost": 1}, "'src' is not an integer id: 1.0"),
     ({"src": 2, "dst": True, "path": [2], "cost": 1}, "'dst' is not an integer id: True"),
-], ids=["no-dst", "to-itself", "outside-the-tree", "text-src", "float-src", "bool-dst"])
+    ([1, 2, [2]], r"call \[1, 2, \[2\]\] of step 1 is not an object"),
+    ({"src": 1, "dst": 2, "path": 5, "cost": 1}, "'path' is not a list: 5"),
+], ids=["no-dst", "to-itself", "outside-the-tree", "text-src", "float-src", "bool-dst",
+        "call-as-list", "number-path"])
 def test_from_dict_rejects_a_bad_call(call, message):
     data = {
         "k": 2, "r": 2, "n": 7, "originator": 1, "algorithm": "x",
@@ -128,7 +131,12 @@ def test_from_dict_rejects_a_bad_call(call, message):
     ({"k": 2, "r": 2, "originator": 1}, "has no 'steps'"),
     ({"k": 2, "r": 2, "originator": True, "steps": []},
      "'originator' is not an integer id: True"),
-], ids=["no-steps", "bool-originator"])
+    ({"k": 2, "r": 1, "originator": 1, "steps": [{"t": 1}]}, "step 1 has no 'calls'"),
+    ({"k": "2", "r": 1, "originator": 1, "steps": []}, "'k' is not an integer: '2'"),
+    ({"k": 2.0, "r": 1, "originator": 1, "steps": []}, "'k' is not an integer: 2.0"),
+    ({"k": 2, "r": 1, "originator": 9, "steps": []},
+     r"'originator': id 9 not in \[1, 3\]"),
+], ids=["no-steps", "bool-originator", "no-calls", "text-k", "float-k", "outside-originator"])
 def test_from_dict_rejects_a_bad_document(data, message):
     with pytest.raises(ScheduleFormatError, match=message):
         schedule_from_dict(data)

@@ -26,6 +26,14 @@ def test_invalid_params(k, r):
         new(k, r)
 
 
+@pytest.mark.parametrize("k,r", [(2.0, 1), (3, True), (True, 2), ("2", 1), (2, 1.0)],
+                         ids=["float-k", "bool-r", "bool-k", "text-k", "float-r"])
+def test_params_must_be_ints(k, r):
+    # a float k would give a float n, and r = True a tree of height 1
+    with pytest.raises(InvalidParams, match="must be an int"):
+        CompleteKTree(k, r)
+
+
 def test_overflow_guard():
     with pytest.raises(Overflow):
         new(2, 63)  # 2**64 - 1 vertices

@@ -1,8 +1,12 @@
 """Schedule model and validator behaviour."""
 
-import pytest
+import tracemalloc
 
-from linebroadcast import Call, Schedule, ViolationKind, make_call, new, validate
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from linebroadcast import (Call, Schedule, Step, ViolationKind, alg1, alg2, alg3,
+                           lbckt, make_call, new, validate)
 from linebroadcast.errors import OutOfRange
 
 
@@ -202,3 +206,205 @@ def test_validate_names_the_first_five_missing_ids():
     assert [(v.step, v.kind, v.detail) for v in rep.violations] == [
         (None, ViolationKind.INCOMPLETE_COVERAGE,
          "11 vertices never informed (first: [4, 5, 6, 8, 9])")]
+
+
+# -- array-backed steps --------------------------------------------------------
+
+def test_step_packs_calls_and_reads_them_back():
+    t = new(2, 2)
+    calls = [call(t, 1, 2), Call(t.vertex_by_id(4), t.vertex_by_id(7), [4, 2, 3, 7])]
+    s = Schedule(t, t.root, "demo")
+    s.append_step(calls)
+    step = s.steps[0]
+    assert (step.t, len(step), step.cost()) == (1, 2, 5)
+    assert list(step.src) == [1, 4] and list(step.dst) == [2, 7]
+    assert list(step.ends) == [1, 5] and list(step.edges) == [2, 4, 2, 3, 7]
+    assert list(step.id_calls()) == [(1, 2, [2]), (4, 7, [4, 2, 3, 7])]
+    # the views give every path as a tuple
+    assert step.calls == list(step) == [calls[0], calls[1]._replace(path=(4, 2, 3, 7))]
+
+
+def test_append_step_shares_a_built_step():
+    t = new(2, 1)
+    built = Step(t)
+    built.add(1, 2, (2,))
+    s = Schedule(t, t.root, "demo")
+    s.append_step(built).append_step(built)
+    assert [step.t for step in s.steps] == [1, 2]
+    assert built.t == 0 and s.steps[0].src is built.src
+    assert s.total_cost() == 2 and s.total_time() == 2
+
+
+def test_schedules_compare_by_value():
+    t = new(3, 2)
+    u = t.vertex_by_id(5)
+    assert alg3(t, u) == alg3(t, u)
+    assert alg3(t, u) != alg1(t, u)
+    hand = Schedule(t, t.root, "demo").append_step([call(t, 1, 2)])
+    assert hand == Schedule(t, t.root, "demo").append_step([call(t, 1, 2)])
+    assert hand != Schedule(t, t.root, "demo").append_step([call(t, 1, 3)])
+
+
+@pytest.mark.parametrize("builder", [alg1, alg2, alg3], ids=["alg1", "alg2", "alg3"])
+def test_step_views_carry_levels_and_offsets(builder):
+    # every vertex but the originator is some call's destination, and the
+    # originator is a source: each view's level and offset are checked
+    # against the level's leftmost id, derived here
+    t = new(3, 3)
+    first = [(3**j - 1) // 2 + 1 for j in range(4)]
+    u = t.vertex_by_id(7)
+    s = builder(t, u)
+    refs = []
+    for step in s.steps:
+        views = step.calls
+        assert [(c.src.id, c.dst.id, list(c.path)) for c in views] == list(step.id_calls())
+        refs += [ref for c in views for ref in (c.src, c.dst)]
+    assert {ref.id for ref in refs} == set(range(1, t.n + 1))
+    for ref in refs:
+        level = max(j for j in range(4) if first[j] <= ref.id)
+        assert (ref.level, ref.offset) == (level, ref.id - first[level] + 1)
+
+
+def one_violation(t, origin, steps):
+    s = Schedule(t, t.vertex_by_id(origin), "demo")
+    for step in steps:
+        s.append_step([Call(t.vertex_by_id(a), t.vertex_by_id(d), path)
+                       for a, d, path in step])
+    return [(v.step, v.kind, v.detail) for v in validate(s).violations]
+
+
+@pytest.mark.parametrize("k,r,origin,steps,bad", [
+    # the edge 1 -> 2 named by its upper end
+    (2, 1, 1, [[(1, 2, (1,))], [(1, 3, (3,))]], (1, "1->2")),
+    # the edge 4 -> 2, crossed upward, named by its upper end
+    (2, 2, 4, [[(4, 2, (2,))], [(4, 5, (4, 5)), (2, 1, (2,))], [(1, 6, (3, 6))],
+               [(6, 3, (6,)), (1, 7, (3, 7))]], (1, "4->2")),
+    # the sibling relay 2 -> 3 written from the far end
+    (2, 1, 1, [[(1, 2, (2,))], [(2, 3, (3, 2))]], (2, "2->3")),
+    # 4 and 6 are cousins, not siblings: their path is 4, 2, 3, 6
+    (2, 2, 4, [[(4, 6, (4, 6))], [(4, 2, (4,)), (6, 3, (6,))],
+               [(2, 1, (2,)), (3, 7, (7,)), (4, 5, (4, 5))]], (1, "4->6")),
+    # a call to the root crosses the caller's edge
+    (2, 1, 2, [[(2, 1, (1,))], [(1, 3, (3,))]], (1, "2->1")),
+    # the last two edges of 4 -> 6, as if 4 were 6's grandparent
+    (2, 2, 4, [[(4, 6, (3, 6))], [(4, 2, (4,)), (6, 3, (6,))],
+               [(2, 1, (2,)), (3, 7, (7,)), (4, 5, (4, 5))]], (1, "4->6")),
+    # the first two edges of 4 -> 3, as if 3 were 4's grandparent
+    (2, 2, 4, [[(4, 3, (4, 2))], [(4, 2, (4,)), (3, 6, (6,))],
+               [(2, 1, (2,)), (3, 7, (7,)), (4, 5, (4, 5))]], (1, "4->3")),
+], ids=["one-edge-upper-end", "one-edge-up-upper-end", "sibling-reversed", "cousins",
+        "root-call",
+        "not-a-grandchild", "not-a-grandparent"])
+def test_validate_flags_a_wrong_short_path(k, r, origin, steps, bad):
+    step, label = bad
+    assert one_violation(new(k, r), origin, steps) == [
+        (step, ViolationKind.PATH_MISMATCH, f"call {label} does not travel the tree path")]
+
+
+def test_validate_accepts_every_short_path_shape():
+    # up one edge, up two (4 -> 1), down two (1 -> 6), a sibling relay, and
+    # a four-edge path that is climbed
+    t = new(2, 2)
+    assert one_violation(t, 4, [
+        [(4, 1, (4, 2))],
+        [(1, 6, (3, 6)), (4, 5, (4, 5))],
+        [(4, 2, (4,)), (6, 3, (6,)), (5, 7, (5, 2, 3, 7))],
+    ]) == []
+
+
+def reference_path(k, a, b):
+    """The a -> b path from both ends' ancestor lists, edges named by child."""
+    def ancestors(v):
+        out = [v]
+        while v > 1:
+            v = (v - 2) // k + 1
+            out.append(v)
+        return out
+    up, down = ancestors(a), ancestors(b)
+    meet = next(v for v in up if v in down)
+    return up[:up.index(meet)] + down[:down.index(meet)][::-1]
+
+
+def reference_violations(k, n, origin, steps):
+    """(step, kind) of every violation, the model's rules applied one call
+    at a time, in validate's order."""
+    out = []
+    informed = {origin}
+    for t, step in enumerate(steps, 1):
+        senders, receivers, edges = set(), set(), set()
+        for s, d, path in step:
+            if s not in informed:
+                out.append((t, ViolationKind.UNINFORMED_SOURCE))
+            if d in informed:
+                out.append((t, ViolationKind.DOUBLE_RECEIVE))
+            if s in senders:
+                out.append((t, ViolationKind.MULTI_SEND))
+            if d in receivers:
+                out.append((t, ViolationKind.DOUBLE_RECEIVE))
+            senders.add(s)
+            receivers.add(d)
+            if s != d and list(path) != reference_path(k, s, d):
+                out.append((t, ViolationKind.PATH_MISMATCH))
+            out += [(t, ViolationKind.EDGE_CONFLICT) for e in path if e in edges]
+            edges.update(path)
+        informed |= receivers
+    if not informed >= set(range(1, n + 1)):
+        out.append((None, ViolationKind.INCOMPLETE_COVERAGE))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_validate_matches_a_reference_check(data):
+    k = data.draw(st.integers(2, 4), label="k")
+    r = data.draw(st.integers(1, 3 if k < 4 else 2), label="r")
+    t = new(k, r)
+    origin = data.draw(st.integers(1, t.n), label="originator")
+    builder = data.draw(st.sampled_from([alg1, alg2, alg3]), label="builder")
+    sched = builder(t, t.vertex_by_id(origin))
+    assert validate(sched).ok
+    steps = [list(step.id_calls()) for step in sched.steps]
+
+    # change one call's path, destination or source
+    ti = data.draw(st.sampled_from([i for i, step in enumerate(steps) if step]))
+    ci = data.draw(st.integers(0, len(steps[ti]) - 1))
+    s, d, path = steps[ti][ci]
+    what = data.draw(st.sampled_from(["path", "dst", "src"]), label="change")
+    if what == "path":
+        # short wrong paths of the right shape come from the tree path to
+        # another destination or from another source
+        path = data.draw(st.one_of(
+            st.just(path[::-1]), st.just(path[:-1]), st.just(path + [path[0]]),
+            st.lists(st.integers(1, t.n), max_size=4),
+            st.integers(1, t.n).map(lambda v: reference_path(k, s, v)),
+            st.integers(1, t.n).map(lambda v: reference_path(k, v, d))), label="path")
+    elif what == "dst":
+        d = data.draw(st.integers(1, t.n).filter(lambda v: v != d), label="dst")
+    else:
+        s = data.draw(st.integers(1, t.n).filter(lambda v: v != s), label="src")
+    steps[ti][ci] = (s, d, path)
+
+    changed = Schedule(t, t.vertex_by_id(origin), "changed")
+    for step in steps:
+        changed.append_step([Call(t.vertex_by_id(a), t.vertex_by_id(b), tuple(p))
+                             for a, b, p in step])
+    got = [(v.step, v.kind) for v in validate(changed).violations]
+    assert got == reference_violations(k, t.n, origin, steps)
+
+
+def test_root_schedule_holds_at_most_100_bytes_per_call():
+    # the memory freed by deleting the schedule, as tracemalloc counts it:
+    # the arrays hold ~50 bytes a call, where a Call with two VertexRefs
+    # and a path tuple per call takes ~430
+    t = new(2, 12)
+    tracemalloc.start()
+    try:
+        sched = lbckt(t, t.root)[0]
+        calls = sum(len(step) for step in sched.steps)
+        held = tracemalloc.get_traced_memory()[0]
+        del sched
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert calls == t.n - 1
+    assert held / calls <= 100

@@ -47,12 +47,12 @@ LARGE = [(k, r) for k, r in GRID if 400 < _size(k, r) <= 50_000]
 
 
 def _trace(steps, deviations=()) -> bytes:
-    calls = [[[c.src.id, c.dst.id, list(c.path)] for c in step] for step in steps]
+    calls = [[[s, d, path] for s, d, path in step.id_calls()] for step in steps]
     return json.dumps([calls, list(deviations)]).encode()
 
 
 def _schedule(sched) -> bytes:
-    return _trace([s.calls for s in sched.steps], sched.deviations)
+    return _trace(sched.steps, sched.deviations)
 
 
 def _large_originators(tree: CompleteKTree) -> list:
