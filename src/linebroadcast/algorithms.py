@@ -168,7 +168,8 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
                         break
 
         # informed children relay to siblings through the parent (cost 2):
-        # the path is the caller's edge, then the sibling's
+        # the path is the caller's edge, then the sibling's. The parent need
+        # not be informed, as only edges are exclusive
         sibling_levels = range(1, r + 1) if overtime else (jj,)
         for lvl in sibling_levels:
             for wid in level_ids(lvl):
@@ -176,8 +177,6 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
                     continue
                 pid = (wid - 2) // k + 1
                 if rem_children[pid] == 0:
-                    continue
-                if not informed[pid] and lvl != 1:
                     continue
                 first = k * (pid - 1) + 2
                 for sid in range(first, first + k):
@@ -187,16 +186,12 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
                         break
 
         # closing call: once only the root is missing, a level-1 vertex
-        # (or the originator) hands it the message at cost 1
+        # hands it the message at cost 1 (if none can, a later step does)
         if not informed[1] and 1 not in serving:
             if n - informed_count == len(serving) + 1:
-                done = False
                 for vid in level_ids(1):
                     if vid not in used_src and place(vid, 1):
-                        done = True
                         break
-                if not done and u.id not in used_src:
-                    place(u.id, 1)
 
         if not len(step):
             # safety net: any informed vertex can reach any uninformed one

@@ -25,6 +25,8 @@ def ceil_log2(x: int) -> int:
 
 
 def tree_size(k: int, r: int) -> int:
+    if k < 2:
+        raise OutOfRange(f"need k >= 2, got k={k}")
     return (k ** (r + 1) - 1) // (k - 1)
 
 
@@ -186,6 +188,8 @@ class BoundsReport:
 
 
 def report(k: int, r: int, leaf_originator: bool = False) -> BoundsReport:
+    if k < 2 or r < 1:
+        raise OutOfRange(f"need k >= 2 and r >= 1, got k={k}, r={r}")
     n = tree_size(k, r)
     tol = {r: tolevel_upper(k, r)}
     fromc = {r: fromlevel_cost(k, r, True)}

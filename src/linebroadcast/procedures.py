@@ -20,11 +20,13 @@ Two procedures are built here:
 merge_upcalls folds the from_level step into the last to_level step when the
 step budget requires it, substituting same-subtree sources (or the
 originator, or a detour) when the designated source is busy or too fresh,
-and trading calls with the previous step when the final step alone cannot
-hold everything: a fan-up call moves up a step, and the level delivery it
-displaces moves down to a window sibling. Each trade is tried on a fold
-state of its own, built from the kept one, so no trial depends on the
-trials before it. Whatever still cannot be placed is returned for a
+and trading calls with the previous step when the first solve leaves
+calls unplaced: a fan-up call moves up a step, and the level delivery it
+displaces moves down to a window sibling. One greedy loop tries one such
+pull per open fan-up call, highest target first, keeps the first whose
+re-solved fold ranks better, and starts over from it. Each pull is tried
+on a fold state of its own, built from the kept one, so no trial depends
+on the trials before it. Whatever still cannot be placed is returned for a
 dedicated follow-up step. Each fan-up target's source options are produced
 as the search asks for them, so the path of an option the search never
 reaches is never built.
@@ -39,12 +41,12 @@ fits.
 Steps are schedule.Step arrays throughout: each procedure writes its calls'
 ids and paths straight into them, merge_upcalls reads the given steps'
 source, destination and edge arrays, and a trial pull works on copies of
-the last two steps' arrays. No Call or VertexRef is made here.
+the last two steps (Step.copy, then Step.replace_call or Step.add). No
+Call or VertexRef is made here.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -66,27 +68,6 @@ class Fragment:
 
     def cost(self) -> int:
         return sum(step.cost() for step in self.steps)
-
-
-def _copy_step(step: Step) -> Step:
-    """A step with copies of step's arrays, to change without changing step."""
-    out = Step(step.tree, step.t)
-    out.src, out.dst, out.ends, out.edges = (
-        step.src[:], step.dst[:], step.ends[:], step.edges[:])
-    return out
-
-
-def _with_call_at(step: Step, at: int, src: int, dst: int,
-                  path: Iterable[int]) -> Step:
-    """A copy of step with call number at replaced by src -> dst along path."""
-    out = _copy_step(step)
-    start = out.ends[at - 1] if at else 0
-    end = out.ends[at]
-    out.src[at], out.dst[at] = src, dst
-    out.edges[start:end] = array("q", path)
-    shift = len(out.edges) - len(step.edges)
-    out.ends[at:] = array("q", [e + shift for e in out.ends[at:]])
-    return out
 
 
 def _nearest_first(pool: list[int], q: int, lo: int = 0, hi: int | None = None):
@@ -319,7 +300,7 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
                     best_gain, best = gain, (i, did, path, upath)
             if best is not None:
                 i, did, path, upath = best
-                step = _with_call_at(step, i, u.id, did, upath)
+                step.replace_call(i, u.id, did, upath)
                 used_edges.difference_update(path)
                 used_edges.update(upath)
                 used_sources.add(u.id)
@@ -524,14 +505,16 @@ def merge_upcalls(
     port- and edge-free within it. Sources come from the target's own
     subtree when possible (matching the designated pattern's path length),
     with the originator and detour sources as fallbacks; the joint
-    assignment is found by conflict-directed backjumping. When the final
-    step provably cannot hold every call, fan-up calls are pulled into the
-    previous step in exchange for level deliveries moved the other way; a
-    pulled target is informed in time to source a final-step call itself
-    or to a neighbouring target. Each pull is tried on a new fold state
-    built from the kept one, so a rejected trial leaves nothing to undo.
-    Once everything fits, further pulls are kept only while they make the
-    fold cheaper; when no pull reaches a full fold, the first solve stands.
+    assignment is found by conflict-directed backjumping. When the first
+    solve leaves calls unplaced, fan-up calls are pulled into the previous
+    step in exchange for level deliveries moved the other way; a pulled
+    target is informed in time to source a final-step call itself or to a
+    neighbouring target. The open fan-up calls are tried highest target
+    first, one pull each, each on a new fold state built from the kept one,
+    so a rejected trial leaves nothing to undo. The first pull whose fold
+    leaves fewer calls unplaced, or as many at a lower cost, is kept, and
+    the loop starts over from it until no pull helps. When no pull reaches
+    a full fold, the first solve stands.
     Anything still unplaced is returned as the step for a dedicated extra
     step (empty when everything folds). The steps given are not changed:
     the final step, and a previous step that a pull changes, come back as
@@ -656,52 +639,43 @@ def merge_upcalls(
     picks = solve_fixed_batch(*state)
 
     if any(p is None for p in picks) and prev is not None:
-        # The final step cannot hold everything. Move fan-up calls into the
+        # The first solve leaves calls unplaced. Move fan-up calls into the
         # previous step: a previous-step delivery whose caller sits under
         # (or routes through) the fan-up target hands its slot over, and the
         # displaced delivery runs in the final step off a window sibling. A
         # pulled target can itself source a final-step fan-up call over its
         # own edges, which relieves the scarce entry edges above the level-j
-        # windows. Each trial pull is kept only when the re-solved fold
-        # leaves fewer calls unplaced, or as many at a lower cost.
+        # windows.
 
-        def displaced_delivery(did: int, informed: set[int], busy: set[int],
-                               edges: set[int]) -> int | None:
-            """An idle window sibling to serve the level-j id did in the
-            final step, the step's deliveries sending from busy over edges."""
-            if did in edges:
-                return None
-            w_lo = level_base + (did - level_base - 1) // k * k + 1
-            for sid in range(w_lo, w_lo + k):
-                if (sid != did and sid in informed
-                        and sid not in busy and sid not in edges):
-                    return sid
-            return None
-
-        def pulls(state, b: UpcallAssignment):
-            """The fold states that pull b into the previous step, one per
-            caller whose old call's released edges cover the new path (its
-            own call usually does most of the covering). A caller whose
-            delivery sources a final-step call keeps it."""
+        def pull(state, b: UpcallAssignment):
+            """The fold state that pulls b into the previous step, off the
+            first caller whose old call's released edges cover the new path
+            (its own call usually does most of the covering) and whose
+            level-j delivery an idle window sibling can run in the final
+            step; None when no caller can. A caller whose delivery sources a
+            final-step call keeps it."""
             prev, batch, informed, assigns = state
             tid = tree.vertex_id(b.target_level, b.target_offset)
             prev_edges = set(prev.edges)
             busy = set(batch.src)
             batch_edges = set(batch.edges)
             for ci, (sid, did, path) in enumerate(prev.id_calls()):
-                if not level_base < did <= top or did in busy:
+                if not level_base < did <= top or did in busy or did in batch_edges:
                     continue
                 up_path = climb(sid, tid)
                 if any(e in prev_edges and e not in path for e in up_path):
                     continue
-                mover = displaced_delivery(did, informed, busy, batch_edges)
-                if mover is not None:
-                    moved = _copy_step(batch)
-                    moved.add(mover, did, (mover, did))
-                    yield (_with_call_at(prev, ci, sid, tid, up_path),
-                           moved,
-                           (informed - {did}) | {tid},
-                           [a for a in assigns if a is not b])
+                w_lo = level_base + (did - level_base - 1) // k * k + 1
+                for mover in range(w_lo, w_lo + k):
+                    if (mover != did and mover in informed
+                            and mover not in busy and mover not in batch_edges):
+                        pulled = prev.copy()
+                        pulled.replace_call(ci, sid, tid, up_path)
+                        moved = batch.copy()
+                        moved.add(mover, did, (mover, did))
+                        return (pulled, moved, (informed - {did}) | {tid},
+                                [a for a in assigns if a is not b])
+            return None
 
         def rank(state, picks) -> tuple[int, int]:
             """(calls unplaced, fold cost): lower is better."""
@@ -710,54 +684,29 @@ def merge_upcalls(
                     prev.cost() + batch.cost()
                     + sum(len(p[1]) for p in picks if p is not None))
 
-        def pull_pool(assigns, a: UpcallAssignment) -> list[UpcallAssignment]:
-            """Pulls that may unblock a: its enclosing targets, nearest
-            first (one informed a step early can serve a itself), then a
-            itself, then the targets nested inside it."""
-            lo, hi = subtree_span(a)
-            pool_b = sorted(
-                (b for b in assigns
-                 if b.i > a.i and subtree_span(b)[0] <= lo
-                 and hi <= subtree_span(b)[1]),
-                key=lambda b: b.i,
-            )
-            pool_b += [b for b in assigns if b is a]
-            pool_b += [
-                b for b in assigns
-                if b is not a and b.i < a.i
-                and lo <= subtree_span(b)[0] and subtree_span(b)[1] <= hi
-            ]
-            return pool_b
-
-        def first_better(state, picks, best):
-            """The first pull from state whose re-solved fold ranks below
-            best, as (state, picks, rank); None when no pull does."""
-            assigns = state[3]
-            stuck = [a for a, p in zip(assigns, picks) if p is None]
-            if stuck:
-                pools = [pull_pool(assigns, a) for a in stuck]
-            else:
-                # everything fits: look for pulls that make the fold cheaper
-                pools = [sorted(assigns, key=lambda b: -b.i)]
-            for pool_b in pools:
-                for b in pool_b:
-                    for trial in pulls(state, b):
-                        trial_picks = solve_fixed_batch(*trial)
-                        trial_rank = rank(trial, trial_picks)
-                        if trial_rank < best:
-                            return trial, trial_picks, trial_rank
-            return None
-
+        # Try the open assignments highest target first (the sort is
+        # stable, so a tie keeps the scarcest first), keep the first pull
+        # whose re-solved fold ranks better, and start over from it. Each
+        # kept pull takes an assignment off the open list, so this ends.
         kept = state, picks, rank(state, picks)
-        # each kept pull takes an assignment off the open list, so this ends
-        while (better := first_better(*kept)) is not None:
-            kept = better
+        while True:
+            for b in sorted(kept[0][3], key=lambda b: -b.i):
+                trial = pull(kept[0], b)
+                if trial is None:
+                    continue
+                trial_picks = solve_fixed_batch(*trial)
+                trial_rank = rank(trial, trial_picks)
+                if trial_rank < kept[2]:
+                    kept = trial, trial_picks, trial_rank
+                    break
+            else:
+                break
         if kept[2][0] == 0:
             state, picks, _ = kept
         # otherwise no full fold: the first solve's picks stand
 
     prev, batch, _, assigns = state
-    final = _copy_step(batch)
+    final = batch.copy()
     deferred = Step(tree)
     for a, p in zip(assigns, picks):
         tid = tree.vertex_id(a.target_level, a.target_offset)

@@ -17,11 +17,13 @@ Model conventions:
 A step is stored as four parallel arrays of signed 64-bit ints: the calls'
 source ids, their destination ids, the offset where each call's path ends
 in a flat edge buffer, and that buffer. A schedule of n vertices holds
-n - 1 calls, and this way it keeps no object per call. The builders write
-ids straight into a step (Step.add). A Call, the NamedTuple (src, dst,
-path) of two VertexRefs and the edge ids in travel order, is a view:
-iterating a step, or Step.calls, builds one per call on demand, and
-Schedule.append_step packs a list of hand-made Calls into the arrays.
+n - 1 calls, and this way it keeps no object per call. The builders append
+ids straight to a step (Step.add, or the same appends written out); a call
+already placed changes only through Step.replace_call, on the step itself
+or on a Step.copy. A Call, the NamedTuple (src, dst, path) of two
+VertexRefs and the edge ids in travel order, is a view: iterating a step,
+or Step.calls, builds one per call on demand, and Schedule.append_step
+packs a list of hand-made Calls into the arrays.
 
 The validator is a total pass: it reports every violation it finds instead
 of stopping at the first one. It checks a step whole, with set operations
@@ -90,6 +92,24 @@ class Step:
         self.dst.append(dst)
         self.edges.extend(path)
         self.ends.append(len(self.edges))
+
+    def copy(self) -> "Step":
+        """A step with copies of the arrays, to change without changing this one."""
+        out = Step(self.tree, self.t)
+        out.src, out.dst, out.ends, out.edges = (
+            self.src[:], self.dst[:], self.ends[:], self.edges[:])
+        return out
+
+    def replace_call(self, at: int, src: int, dst: int, path: Iterable[int]) -> None:
+        """Make call number at the call from id src to id dst along path; the
+        path ends of the calls after it shift by the change in length."""
+        start = self.ends[at - 1] if at else 0
+        end = self.ends[at]
+        self.src[at], self.dst[at] = src, dst
+        self.edges[start:end] = array("q", path)
+        shift = len(self.edges) - self.ends[-1]
+        if shift:
+            self.ends[at:] = array("q", [e + shift for e in self.ends[at:]])
 
     def __len__(self) -> int:
         return len(self.src)

@@ -161,18 +161,20 @@ def test_alg3_root_time_is_limit():
 # ran longest when the search's bookkeeping was rewritten (five run its
 # 500k-node budget out; the (3,4) leaf stops at about 172k nodes), and
 # the (3,4) alg3 and (3,5) alg2 roots fold through the previous-step
-# exchange; their digests move if a rejected trial pull leaves any trace
-# on the solves after it (the costs come out the same either way). The
-# (3,3), (3,5) and (5,3) alg3 roots enter that exchange and give it up.
+# exchange, 6 pulls in 14 solves each. Their digests move with the order
+# in which the exchange tries its pulls, and if a rejected trial pull
+# leaves any trace on the solves after it; their costs and step counts do
+# not. The (3,3), (3,5) and (5,3) alg3 roots enter that exchange and give
+# it up: no previous-step caller can take a pull.
 # The (6,3) alg2 run from vertex 151 keeps its step only through a detour
 # source outside the target's subtree. The (3,3) alg2 run from vertex 10
 # changes if the nearest-first walk breaks a tie toward the higher offset
 # instead of the lower one.
 SLOW_FOLDS = [
     ("alg3", 3, 4, 1, 284, 7,
-     "aa130814bb11a616eb60d79f9de6d1f0f4effec069bacc5cfd461b5e593286ca"),
+     "d79aa1782e1e0b5a6e1b926732d8b8e2819a7e66bd0ec7257f3b40a569af10f5"),
     ("alg2", 3, 5, 1, 608, 9,
-     "e0ee98eda4939f70de01276dfbca39fe878646370df64c60de20c9585e177d84"),
+     "8762ed81bc375ed6b541e37f517b0570f188a3165cfce049e78eda1aba6d52fc"),
     ("alg3", 6, 3, 1, 614, 9,
      "a9e6b7bcc47c7cbdab71b322f020e79feda8c6250fce7d70660ab9fb949b14c2"),
     ("alg3", 2, 5, 47, 191, 7,
@@ -249,16 +251,25 @@ def test_builder_schedules_unchanged(name, k, r, uid, cost, steps, digest):
     assert (sum(c.cost for st in calls for c in st), len(calls)) == (cost, steps)
 
 
-def test_large_trees_family_unchanged():
-    """The 37 lbckt schedules of perfbench's large-trees workload, digested
-    as tools/schedule_digest.py does."""
+def _family_digest(name):
+    """One family's (digest, count), computed as tools/schedule_digest.py does."""
     path = Path(__file__).resolve().parent.parent / "tools" / "schedule_digest.py"
     spec = importlib.util.spec_from_file_location("schedule_digest", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    items = dict(tool.families())["large-trees"]
-    assert tool.digest(items) == (
+    return tool.digest(dict(tool.families())[name])
+
+
+def test_large_trees_family_unchanged():
+    """The 37 lbckt schedules of perfbench's large-trees workload."""
+    assert _family_digest("large-trees") == (
         "b38e35f1cb4915fed8eaaa15417fa91ec03b7b6f3dc88071e34457a3b32b8c37", 37)
+
+
+def test_root_lbckt_family_unchanged():
+    """lbckt from the root at the 35 points of the acceptance grid."""
+    assert _family_digest("root-lbckt") == (
+        "c6e68faa0b52500824e556cf9122e4ab279c94d1bd3b4262fcad35aa4ad3b856", 35)
 
 
 def test_lbckt_dispatch():

@@ -22,6 +22,13 @@ def test_ceil_log2():
         bounds.ceil_log2(0)
 
 
+def test_tree_size():
+    assert bounds.tree_size(2, 2) == 7
+    assert bounds.tree_size(3, 1) == 4
+    with pytest.raises(OutOfRange, match="k=1"):
+        bounds.tree_size(1, 2)
+
+
 def test_farley():
     assert bounds.farley_bound(7) == 18
     assert bounds.farley_bound(2) == 1

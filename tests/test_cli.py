@@ -154,6 +154,13 @@ def test_bounds_output(capsys):
     assert "241.3125" in out
 
 
+@pytest.mark.parametrize("k,r", [("1", "2"), ("0", "2"), ("2", "0")])
+def test_bounds_rejects_k_or_r_out_of_range(capsys, k, r):
+    code, out, err = run_cli(capsys, "bounds", "--k", k, "--r", r)
+    assert code == 1 and out == ""
+    assert err == f"error: OutOfRange: need k >= 2 and r >= 1, got k={k}, r={r}\n"
+
+
 def test_sweep_csv(tmp_path, capsys):
     out_path = tmp_path / "grid.csv"
     code, _, _ = run_cli(capsys, "sweep", "--k", "2..4", "--r", "1..3",

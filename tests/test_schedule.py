@@ -235,6 +235,43 @@ def test_append_step_shares_a_built_step():
     assert s.total_cost() == 2 and s.total_time() == 2
 
 
+# three sibling relays at (3,2), two edges each
+RELAYS = [(5, 6, [5, 6]), (8, 9, [8, 9]), (11, 12, [11, 12])]
+
+
+def relay_step():
+    step = Step(new(3, 2), 3)
+    for src, dst, path in RELAYS:
+        step.add(src, dst, path)
+    return step
+
+
+def test_step_copy_leaves_the_original_unchanged():
+    step = relay_step()
+    copy = step.copy()
+    assert copy == step and copy.t == 3 and copy.tree is step.tree
+    copy.add(2, 7, [7])
+    copy.replace_call(0, 3, 10, [10])
+    copy.replace_call(2, 7, 13, [7, 2, 4, 13])
+    assert list(copy.id_calls()) == [
+        (3, 10, [10]), RELAYS[1], (7, 13, [7, 2, 4, 13]), (2, 7, [7])]
+    assert list(step.id_calls()) == RELAYS
+    assert (len(step), step.cost(), list(step.ends)) == (3, 6, [2, 4, 6])
+
+
+@pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("new_call", [
+    (3, 10, [10]), (12, 13, [12, 13]), (7, 13, [7, 2, 4, 13]),
+], ids=["shorter", "equal", "longer"])
+def test_replace_call_shifts_only_later_ends(at, new_call):
+    step = relay_step()
+    step.replace_call(at, *new_call)
+    assert list(step.id_calls()) == RELAYS[:at] + [new_call] + RELAYS[at + 1:]
+    shift = len(new_call[2]) - 2
+    assert list(step.ends) == [2, 4, 6][:at] + [e + shift for e in [2, 4, 6][at:]]
+    assert (len(step), step.cost()) == (3, 6 + shift)
+
+
 def test_schedules_compare_by_value():
     t = new(3, 2)
     u = t.vertex_by_id(5)
