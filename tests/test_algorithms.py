@@ -4,6 +4,8 @@ import hashlib
 import importlib.util
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -251,10 +253,12 @@ def test_builder_schedules_unchanged(name, k, r, uid, cost, steps, digest):
     assert (sum(c.cost for st in calls for c in st), len(calls)) == (cost, steps)
 
 
+DIGEST_TOOL = Path(__file__).resolve().parent.parent / "tools" / "schedule_digest.py"
+
+
 def _family_digest(name):
     """One family's (digest, count), computed as tools/schedule_digest.py does."""
-    path = Path(__file__).resolve().parent.parent / "tools" / "schedule_digest.py"
-    spec = importlib.util.spec_from_file_location("schedule_digest", path)
+    spec = importlib.util.spec_from_file_location("schedule_digest", DIGEST_TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool.digest(dict(tool.families())[name])
@@ -264,6 +268,30 @@ def test_large_trees_family_unchanged():
     """The 37 lbckt schedules of perfbench's large-trees workload."""
     assert _family_digest("large-trees") == (
         "b38e35f1cb4915fed8eaaa15417fa91ec03b7b6f3dc88071e34457a3b32b8c37", 37)
+
+
+def test_small_alg1_family_unchanged():
+    """alg1 from every originator of the 25 trees with n <= 400: this pins
+    its overtime steps, which only originators below the root reach."""
+    assert _family_digest("small-alg1") == (
+        "4d3e9fafc31252348ab62ccee8080f13cb107a7fb97798744b354aae230b1d50", 2162)
+
+
+def test_small_to_level_family_unchanged():
+    """to_level to every level from every originator of the same trees:
+    this pins the sibling pass's nearest-idle scan in the blocks where the
+    informed offsets are not a prefix (the originator's, or one with an
+    undelivered target)."""
+    assert _family_digest("small-to_level") == (
+        "1822c7d8ed87573ff140a89ef31d199a9382be0309446cc115b174f0f81be744", 7504)
+
+
+def test_schedule_digest_rejects_unknown_family():
+    result = subprocess.run(
+        [sys.executable, str(DIGEST_TOOL), "--family", "no-such-family"],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode != 0
+    assert "no-such-family" in result.stderr
 
 
 def test_root_lbckt_family_unchanged():

@@ -17,7 +17,7 @@ from linebroadcast import (
 )
 from linebroadcast.bounds import ceil_log2, fromlevel_cost, tolevel_upper
 from linebroadcast.errors import OutOfRange, PreconditionViolated
-from linebroadcast.procedures import _cbj_assign
+from linebroadcast.procedures import _cbj_assign, _digit_reversed
 
 
 def as_schedule(tree, u, frag, tag="frag"):
@@ -58,6 +58,18 @@ def test_grid_partition():
                 assert not (union & newly)
                 union |= newly
             assert union == set(range(1, k**j + 1))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_digit_reversed_matches_definition(k):
+    """_digit_reversed(k, k**p) lists w = 0..k**p - 1, each with its p base-k
+    digits read in reverse."""
+    for p in range(6):
+        expected = []
+        for w in range(k**p):
+            digits = [(w // k**i) % k for i in range(p)]  # least significant first
+            expected.append(sum(d * k ** (p - 1 - i) for i, d in enumerate(digits)))
+        assert _digit_reversed(k, k**p) == expected, (k, p)
 
 
 # -- to_level ----------------------------------------------------------------

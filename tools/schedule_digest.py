@@ -5,6 +5,10 @@ the same steps, the same calls in the same order, the same paths and the
 same deviation flags. Run it from anywhere, with the standard library only:
 
     python tools/schedule_digest.py
+    python tools/schedule_digest.py --family small-alg1 --family large-trees
+
+With no --family it prints every family below (about 60 s, 40 s of it in
+small-alg3); --family NAME, repeatable, prints only the families named.
 
 The families:
 
@@ -24,6 +28,7 @@ Each line gives the family, its digest, its schedule count and its time.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -118,9 +123,16 @@ def digest(items) -> tuple[str, int]:
     return sha.hexdigest(), count
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    names = [name for name, _ in families()]
+    parser = argparse.ArgumentParser(description="Print one digest per family of schedules.")
+    parser.add_argument("--family", action="append", choices=names, metavar="NAME",
+                        help="print only this family (repeatable); one of: %(choices)s")
+    chosen = parser.parse_args(argv).family or names
     total = perf_counter()
     for name, items in families():
+        if name not in chosen:
+            continue
         start = perf_counter()
         hexdigest, count = digest(items)
         print(f"{name:15} {hexdigest} {count:6d} {perf_counter() - start:7.1f} s",
