@@ -48,15 +48,25 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
     sched = Schedule(tree, u, "alg1")
 
     # the loops below work on breadth-first ids: the parent of v is
-    # (v-2)//k+1, its children are k(v-1)+2 .. k(v-1)+k+1, and base[j] +
-    # offset is the id of the vertex (j, offset)
+    # (v-2)//k+1, its children are k(v-1)+2 .. kv+1, and base[j] + offset is
+    # the id of the vertex (j, offset)
     base = [tree.vertex_id(j, 1) - 1 for j in range(r + 1)]
-    informed = bytearray(n + 1)
-    informed[u.id] = 1
+    informed = bytearray(n + 1)   # informed before the current step
+    claimed = bytearray(n + 1)    # informed, or called in the current step
+    informed[u.id] = claimed[u.id] = 1
     informed_count = 1
 
-    # uninformed-children count per vertex id (a leaf's is never read)
-    rem_children = [k] * (n + 1)
+    # per inner vertex p, its first child that may still be unclaimed: a
+    # vertex once claimed stays claimed, so the cursor only moves forward
+    cursor = [0, *range(2, k * base[r] + 2, k)]
+
+    def first_open(pid: int) -> int:
+        """pid's first unclaimed child, or k * pid + 2 when it has none."""
+        c, end = cursor[pid], k * pid + 2
+        while c < end and claimed[c]:
+            c += 1
+        cursor[pid] = c
+        return c
 
     def level_ids(level: int) -> list[int]:
         """The informed ids of a level, ascending: its ids are contiguous."""
@@ -72,7 +82,7 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
         step = Step(tree)
         step.add(u.id, 1, climb(u.id, 1))
         steps.append(step)
-        informed[1] = 1
+        informed[1] = claimed[1] = 1
         informed_count += 1
         sched.deviations.append(f"alg1:originator-relay-cost={step.cost()}")
     # the originator's level-1 ancestor (the level-1 ids are 2 .. k + 1),
@@ -83,6 +93,9 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
 
     late: list[int] = []          # vertices whose round has already passed
     swept_through = 0             # levels 0..swept_through already swept into late
+    # the inner vertices with an uninformed child, ascending, which the
+    # overtime steps walk instead of whole levels; None before overtime
+    open_parents: list[int] | None = None
     t = len(steps)
     hard_stop = 4 * r * lam + 64
 
@@ -97,17 +110,16 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
         src_ids, dst_ids, ends, edges = step.src, step.dst, step.ends, step.edges
         used_src: set[int] = set()
         used_edges: set[int] = set()
-        serving: set[int] = set()
 
         def add(src: int, dst: int, path) -> None:
-            """Step.add, written out: this runs once per call placed."""
+            """Step.add, written out, for the calls placed by climbing."""
             src_ids.append(src)
             dst_ids.append(dst)
             edges.extend(path)
             ends.append(len(edges))
             used_src.add(src)
             used_edges.update(path)
-            serving.add(dst)
+            claimed[dst] = 1
 
         def place(src: int, dst: int) -> bool:
             path = climb(src, dst, used_edges)
@@ -119,11 +131,11 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
         if deep and u.id not in used_src:
             lvl1 = level_ids(1)
             if len(lvl1) < k:
-                if not informed[u_anc] and u_anc not in serving:
+                if not claimed[u_anc]:
                     place(u.id, u_anc)
                 if u.id not in used_src:
                     for vid in range(2, k + 2):
-                        if not informed[vid] and vid not in serving:
+                        if not claimed[vid]:
                             if place(u.id, vid):
                                 break
 
@@ -140,7 +152,7 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
             for vid in late:
                 if informed[vid]:
                     continue
-                if vid in serving:
+                if claimed[vid]:
                     still_late.append(vid)
                     continue
                 placed = False
@@ -154,44 +166,58 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
                     still_late.append(vid)
             late = still_late
 
-        # parents feed children (cost 1): the path is the child's edge
-        parent_levels = range(0, r) if overtime else (jj - 1,)
-        for lvl in parent_levels:
-            for pid in level_ids(lvl):
-                if rem_children[pid] == 0 or pid in used_src:
-                    continue
-                first = k * (pid - 1) + 2
-                for cid in range(first, first + k):
-                    if not informed[cid] and cid not in serving:
-                        if cid not in used_edges:
-                            add(pid, cid, (cid,))
-                        break
+        # the callers of the two passes below: in a round, the informed
+        # vertices of its parent and child levels; in overtime, those of the
+        # open parents and their children, the list pruned of every parent
+        # whose children are all claimed. Both walks are in ascending ids
+        if overtime:
+            if open_parents is None:
+                open_parents = list(range(1, base[r] + 1))
+            open_parents = [p for p in open_parents if first_open(p) < k * p + 2]
+            feeders = [p for p in open_parents if informed[p]]
+            relayers = [w for p in open_parents
+                        for w in range(k * p - k + 2, k * p + 2) if informed[w]]
+        else:
+            feeders, relayers = level_ids(jj - 1), level_ids(jj)
 
-        # informed children relay to siblings through the parent (cost 2):
-        # the path is the caller's edge, then the sibling's. The parent need
-        # not be informed, as only edges are exclusive
-        sibling_levels = range(1, r + 1) if overtime else (jj,)
-        for lvl in sibling_levels:
-            for wid in level_ids(lvl):
-                if wid in used_src:
-                    continue
+        # parents feed their first unclaimed child (cost 1): the path is the
+        # child's edge. No feed can block another, so each pass is checked
+        # against the calls before it and written whole
+        feed_src, feed_dst = [], []
+        for pid in feeders:
+            if pid not in used_src:
+                cid = first_open(pid)
+                if cid < k * pid + 2 and cid not in used_edges:
+                    feed_src.append(pid)
+                    feed_dst.append(cid)
+                    claimed[cid] = 1
+        step.add_child_calls(feed_src, feed_dst)
+        used_src.update(feed_src)
+        used_edges.update(feed_dst)
+
+        # informed children relay to their parent's first unclaimed child
+        # (cost 2): the path is the caller's edge, then the sibling's. The
+        # parent need not be informed, as only edges are exclusive
+        relay_src, relay_dst = [], []
+        for wid in relayers:
+            if wid not in used_src and wid not in used_edges:
                 pid = (wid - 2) // k + 1
-                if rem_children[pid] == 0:
-                    continue
-                first = k * (pid - 1) + 2
-                for sid in range(first, first + k):
-                    if not informed[sid] and sid not in serving:
-                        if wid not in used_edges and sid not in used_edges:
-                            add(wid, sid, (wid, sid))
-                        break
+                sid = first_open(pid)
+                if sid < k * pid + 2 and sid not in used_edges:
+                    relay_src.append(wid)
+                    relay_dst.append(sid)
+                    claimed[sid] = 1
+        step.add_sibling_calls(relay_src, relay_dst)
+        used_src.update(relay_src)
+        used_edges.update(relay_src)
+        used_edges.update(relay_dst)
 
         # closing call: once only the root is missing, a level-1 vertex
         # hands it the message at cost 1 (if none can, a later step does)
-        if not informed[1] and 1 not in serving:
-            if n - informed_count == len(serving) + 1:
-                for vid in level_ids(1):
-                    if vid not in used_src and place(vid, 1):
-                        break
+        if not claimed[1] and n - informed_count == len(step) + 1:
+            for vid in level_ids(1):
+                if vid not in used_src and place(vid, 1):
+                    break
 
         if not len(step):
             # safety net: any informed vertex can reach any uninformed one
@@ -202,10 +228,7 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
 
         for vid in step.dst:
             informed[vid] = 1
-            informed_count += 1
-            if vid > 1:
-                pid = (vid - 2) // k + 1
-                rem_children[pid] -= 1
+        informed_count += len(step)
         steps.append(step)
 
     for step in steps:

@@ -47,10 +47,11 @@ Call or VertexRef is made here.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 
 from .errors import OutOfRange, PreconditionViolated
 from .ktree import CompleteKTree, VertexRef
@@ -107,18 +108,10 @@ def round_targets(k: int, j: int, m: int) -> set[int]:
 
 def _digit_reversed(k: int, count: int) -> list[int]:
     """0..count-1 (count a power of k) ordered by reversed base-k digits."""
-    p = 0
-    c = count
-    while c > 1:
-        c //= k
-        p += 1
-    out = []
-    for w in range(count):
-        x, rev = w, 0
-        for _ in range(p):
-            rev = rev * k + x % k
-            x //= k
-        out.append(rev)
+    # with one digit more, w = d * k**p + w' reverses to rev(w') * k + d
+    out = [0]
+    while len(out) < count:
+        out = [rev * k + d for d in range(k) for rev in out]
     return out
 
 
@@ -148,10 +141,11 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
     a round ascending, windows within a stripe in digit-reversed order, so
     every window's fill stays within one stripe of every other's. Step t
     delivers the next batch of that order, sized so the informed population
-    doubles exactly (capped by what is left). Within a step, targets are
-    matched to callers by relay scale, tightest first: sibling pairs, then
-    pairs meeting one level higher, and so on; the originator picks up the
-    first target local relays missed, and through-the-root relays mop up.
+    doubles exactly (capped by what is left); a batch target left
+    undelivered leads the next batch. Within a step, targets are matched to
+    callers by relay scale, tightest first: sibling pairs, then pairs
+    meeting one level higher, and so on; the originator picks up the first
+    target local relays missed, and through-the-root relays mop up.
 
     For j >= 2 a step opens with the sibling pass: each batch target, in
     order, hears from the nearest idle informed offset of its k-block (a
@@ -162,6 +156,17 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
     earlier target (uninformed, and another batch entry). This call's
     caller is informed and idle, so it is neither; its target is
     uninformed and a new batch entry, so it is neither either.
+
+    The delivery order fills a block's offsets from its lowest up, so most
+    blocks hold a prefix: their informed offsets are their first h. Every
+    target in such a block lies above its informed offsets, and the
+    nearest idle caller is the highest idle one, which is lo + h - 1 - g
+    for the block's first offset lo once the block has given g callers in
+    this step (none when g = h). A block kept as two counts (informed
+    offsets, and one more than the highest informed offset's place in the
+    block) holds a prefix when they are equal. Any other block, the
+    originator's or one above an undelivered target, falls back to
+    scanning outward from the target.
 
     Every later placement checks edge-disjointness against the step so
     far while it climbs. At the wider scales a caller outside the target's
@@ -180,21 +185,31 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
 
     u_off = u.offset if u.level == j else None
     informed = bytearray(size + 1)
-    pool: list[int] = []  # sorted informed offsets
+    # per k-block b (offsets b*k + 1 .. b*k + k): its informed offsets, and
+    # one more than the highest informed offset's place in it (0 for none)
+    filled = bytearray(size // k)
+    reach = bytearray(size // k)
+    pool: list[int] = []  # the informed offsets, sorted when a wide match reads them
     if u_off is not None:
         informed[u_off] = 1
         pool.append(u_off)
+        filled[(u_off - 1) // k] = 1
+        reach[(u_off - 1) // k] = (u_off - 1) % k + 1
 
-    order: list[int] = []
-    for m in range(1, j + 1):
-        order.extend(_round_target_list(k, j, m))
-    pending = [off for off in order if not informed[off]]
+    order = [off for m in range(1, j + 1) for off in _round_target_list(k, j, m)
+             if off != u_off]
+    taken = 0  # order[:taken] has been handed to a batch
+    carried: list[int] = []  # the last batch's undelivered targets
 
     steps: list[Step] = []
 
-    while pending:
+    while carried or taken < len(order):
+        # carried is shorter than capacity: it is what the last batch, no
+        # larger than the last capacity, did not deliver
         capacity = len(pool) + (1 if u.level != j else 0)
-        batch = pending[:capacity]
+        batch = carried + order[taken:taken + capacity - len(carried)]
+        taken += capacity - len(carried)
+        pool_sorted = False
 
         step = Step(tree)
         src_ids, dst_ids, ends, edges = step.src, step.dst, step.ends, step.edges
@@ -214,6 +229,10 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
         def match_in_range(q_off: int, lvl: int) -> bool:
             """Idle informed caller for q among the level-lvl subtree's
             vertices outside q's level-(lvl+1) subtree, nearest first."""
+            nonlocal pool_sorted
+            if not pool_sorted:
+                pool.sort()
+                pool_sorted = True
             span = k ** (j - lvl)
             lo_off = q_off - (q_off - 1) % span
             inner = span // k
@@ -247,19 +266,41 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
             unserved = batch
         else:
             unserved = []
+            callers: list[int] = []
+            targets: list[int] = []
+            given: dict[int, int] = {}  # callers each prefix block gave
             for q_off in batch:
-                lo_off = q_off - (q_off - 1) % k
-                for d in range(1, k):  # the lower offset first on a tie
-                    c_off = q_off - d
-                    if c_off >= lo_off and informed[c_off] and base + c_off not in used_sources:
-                        break
-                    c_off = q_off + d
-                    if c_off < lo_off + k and informed[c_off] and base + c_off not in used_sources:
-                        break
+                b = (q_off - 1) // k
+                h = filled[b]
+                if h == reach[b]:
+                    # a prefix block: its highest idle informed offset
+                    g = given.get(b, 0)
+                    if g == h:
+                        unserved.append(q_off)
+                        continue
+                    given[b] = g + 1
+                    c_off = b * k + h - g
                 else:
-                    unserved.append(q_off)
-                    continue
-                add(base + c_off, q_off, (base + c_off, base + q_off))
+                    lo_off = b * k + 1
+                    for d in range(1, k):  # the lower offset first on a tie
+                        c_off = q_off - d
+                        if c_off >= lo_off and informed[c_off] and base + c_off not in used_sources:
+                            break
+                        c_off = q_off + d
+                        if c_off < lo_off + k and informed[c_off] and base + c_off not in used_sources:
+                            break
+                    else:
+                        unserved.append(q_off)
+                        continue
+                    # the scan reads used_sources; a prefix block's callers
+                    # are only recorded there after the pass
+                    used_sources.add(base + c_off)
+                callers.append(base + c_off)
+                targets.append(base + q_off)
+            step.add_sibling_calls(callers, targets)
+            used_sources.update(callers)
+            used_edges.update(callers)
+            used_edges.update(targets)
 
         # then by relay scale, tightest first: pairs meeting two levels up,
         # then three, and so on. A caller only leaves its subtree after every
@@ -290,14 +331,16 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
             # without a climb
             least = abs(u.level - j)
             best_gain, best = 0, None
-            for i, (_, did, path) in enumerate(step.id_calls()):
-                if len(path) - least <= best_gain:
-                    continue
-                upath = climb(u.id, did)
-                gain = len(path) - len(upath)
-                if gain > best_gain and all(
-                        e not in used_edges or e in path for e in upath):
-                    best_gain, best = gain, (i, did, path, upath)
+            start = 0
+            for i, end in enumerate(ends):
+                if end - start - least > best_gain:
+                    did, path = dst_ids[i], edges[start:end]
+                    upath = climb(u.id, did)
+                    gain = len(path) - len(upath)
+                    if gain > best_gain and all(
+                            e not in used_edges or e in path for e in upath):
+                        best_gain, best = gain, (i, did, path, upath)
+                start = end
             if best is not None:
                 i, did, path, upath = best
                 step.replace_call(i, u.id, did, upath)
@@ -312,9 +355,11 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
             off = did - base
             informed[off] = 1
             pool.append(off)
-        pool.sort()
-        # only batch targets are delivered
-        pending = [off for off in batch if not informed[off]] + pending[len(batch):]
+            b = (off - 1) // k
+            filled[b] += 1
+            if off - b * k > reach[b]:
+                reach[b] = off - b * k
+        carried = [off for off in batch if not informed[off]]
         steps.append(step)
 
     return Fragment(steps)
@@ -535,40 +580,42 @@ def merge_upcalls(
         lo = (a.t - 1) * k**a.i + 1
         return lo, lo + k**a.i - 1
 
-    assignments = [
-        a for a in upcall_assignments(k, j)
-        if tree.vertex_id(a.target_level, a.target_offset) != u.id
-    ]
-
-    def sorted_informed(informed: set[int]) -> list[int]:
-        return sorted(vid - level_base for vid in informed
-                      if level_base < vid <= top)
+    # each open fan-up call as (its assignment, its target id)
+    assignments = []
+    for a in upcall_assignments(k, j):
+        tid = tree.vertex_id(a.target_level, a.target_offset)
+        if tid != u.id:
+            assignments.append((a, tid))
 
     def in_span(pool: list[int], a: UpcallAssignment) -> tuple[int, int]:
         """The slice of the sorted pool inside a's subtree span."""
         lo, hi = subtree_span(a)
         return bisect_left(pool, lo), bisect_left(pool, hi + 1)
 
-    # informed level-j offsets, and the ones the final step already sends from
-    informed_offsets = sorted_informed(informed_before)
-    busy_offsets = [off for off in informed_offsets if level_base + off in batch_busy]
+    # the informed level-j offsets, sorted, and how many of them up to each
+    # offset the final step does not already send from
+    informed_offsets = sorted(vid - level_base for vid in informed_before
+                              if level_base < vid <= top)
+    idle = bytearray(k**j + 1)
+    for off in informed_offsets:
+        if level_base + off not in batch_busy:
+            idle[off] = 1
+    idle_upto = array("q", accumulate(idle))
 
     def free_in_span(a: UpcallAssignment) -> int:
-        start, stop = in_span(informed_offsets, a)
-        busy_start, busy_stop = in_span(busy_offsets, a)
-        return (stop - start) - (busy_stop - busy_start)
+        span = k**a.i
+        return idle_upto[a.t * span] - idle_upto[(a.t - 1) * span]
 
     # scarcest first, so flexible assignments route around committed ones
-    assignments.sort(key=lambda a: (free_in_span(a), a.i, a.t))
+    assignments.sort(key=lambda e: (free_in_span(e[0]), e[0].i, e[0].t))
 
-    def upcall_options(a: UpcallAssignment, skip_busy: set[int], pool: list[int],
-                       raised: list[int]):
-        """a's (source id, path) options, best first, each path built when
-        the search asks for the option. pool is the informed level-j
-        offsets, sorted; skip_busy holds the ids that already send; raised
-        holds the ids above level j that the previous step informs."""
+    def upcall_options(a: UpcallAssignment, tid: int, skip_busy: set[int],
+                       pool: list[int], raised: list[int]):
+        """a's (source id, path) options toward tid, best first, each path
+        built when the search asks for the option. pool is the informed
+        level-j offsets, sorted; skip_busy holds the ids that already send;
+        raised holds the ids above level j that the previous step informs."""
         lo, hi = subtree_span(a)
-        tid = tree.vertex_id(a.target_level, a.target_offset)
         # targets a pulled fan-up call informed a step early, nearest first
         for vid in sorted(raised, key=lambda vid: (len(climb(vid, tid)), vid)):
             if vid not in skip_busy:
@@ -594,18 +641,18 @@ def merge_upcalls(
                 break
 
     # A fold state is a value: (the previous step or None, the final step's
-    # deliveries, the ids informed before the final step, the open fan-up
-    # assignments). Nothing below changes a state once it is built, and the
-    # first one holds the steps given.
-    def solve_fixed_batch(prev, batch, informed, assigns):
+    # deliveries, the ids informed before the final step, the informed
+    # level-j offsets among them, sorted, and the open fan-up calls).
+    # Nothing below changes a state once it is built, and the first one
+    # holds the steps given.
+    def solve_fixed_batch(prev, batch, informed, pool, assigns):
         """Upcalls only: one pick per entry of assigns (None where
         unplaced), against the fold state as given."""
-        pool = sorted_informed(informed)
         pre_busy = set(batch.src)
         pre_edges = set(batch.edges)
         pre: dict[int, tuple[int, tuple[int, ...]]] = {}
         rest_pos = []
-        for pos, a in enumerate(assigns):
+        for pos, (a, _) in enumerate(assigns):
             if a.i == 1:
                 lo, hi = subtree_span(a)
                 hit = None
@@ -624,7 +671,7 @@ def merge_upcalls(
         raised = [] if prev is None else [
             vid for vid in prev.dst if not level_base < vid <= top]
         # generators, read no further than _cbj_assign asks, in this call
-        opts = [upcall_options(assigns[p], pre_busy, pool, raised)
+        opts = [upcall_options(*assigns[p], pre_busy, pool, raised)
                 for p in rest_pos]
         rest_picks = _cbj_assign(opts, pre_edges)
         picks = [None] * len(assigns)
@@ -635,7 +682,7 @@ def merge_upcalls(
         return picks
 
     prev = steps[-2] if len(steps) >= 2 and hard else None
-    state = (prev, last, informed_before, assignments)
+    state = (prev, last, informed_before, informed_offsets, assignments)
     picks = solve_fixed_batch(*state)
 
     if any(p is None for p in picks) and prev is not None:
@@ -647,15 +694,15 @@ def merge_upcalls(
         # own edges, which relieves the scarce entry edges above the level-j
         # windows.
 
-        def pull(state, b: UpcallAssignment):
-            """The fold state that pulls b into the previous step, off the
-            first caller whose old call's released edges cover the new path
-            (its own call usually does most of the covering) and whose
-            level-j delivery an idle window sibling can run in the final
-            step; None when no caller can. A caller whose delivery sources a
-            final-step call keeps it."""
-            prev, batch, informed, assigns = state
-            tid = tree.vertex_id(b.target_level, b.target_offset)
+        def pull(state, entry):
+            """The fold state that pulls entry's call into the previous
+            step, off the first caller whose old call's released edges
+            cover the new path (its own call usually does most of the
+            covering) and whose level-j delivery an idle window sibling can
+            run in the final step; None when no caller can. A caller whose
+            delivery sources a final-step call keeps it."""
+            prev, batch, informed, pool, assigns = state
+            tid = entry[1]
             prev_edges = set(prev.edges)
             busy = set(batch.src)
             batch_edges = set(batch.edges)
@@ -673,13 +720,16 @@ def merge_upcalls(
                         pulled.replace_call(ci, sid, tid, up_path)
                         moved = batch.copy()
                         moved.add(mover, did, (mover, did))
+                        # did is informed a step later now, tid a step earlier
+                        at = bisect_left(pool, did - level_base)
                         return (pulled, moved, (informed - {did}) | {tid},
-                                [a for a in assigns if a is not b])
+                                pool[:at] + pool[at + 1:],
+                                [e for e in assigns if e is not entry])
             return None
 
         def rank(state, picks) -> tuple[int, int]:
             """(calls unplaced, fold cost): lower is better."""
-            prev, batch, _, _ = state
+            prev, batch = state[:2]
             return (sum(p is None for p in picks),
                     prev.cost() + batch.cost()
                     + sum(len(p[1]) for p in picks if p is not None))
@@ -690,8 +740,8 @@ def merge_upcalls(
         # kept pull takes an assignment off the open list, so this ends.
         kept = state, picks, rank(state, picks)
         while True:
-            for b in sorted(kept[0][3], key=lambda b: -b.i):
-                trial = pull(kept[0], b)
+            for entry in sorted(kept[0][-1], key=lambda e: -e[0].i):
+                trial = pull(kept[0], entry)
                 if trial is None:
                     continue
                 trial_picks = solve_fixed_batch(*trial)
@@ -705,11 +755,10 @@ def merge_upcalls(
             state, picks, _ = kept
         # otherwise no full fold: the first solve's picks stand
 
-    prev, batch, _, assigns = state
+    prev, batch, _, _, assigns = state
     final = batch.copy()
     deferred = Step(tree)
-    for a, p in zip(assigns, picks):
-        tid = tree.vertex_id(a.target_level, a.target_offset)
+    for (a, tid), p in zip(assigns, picks):
         if p is not None:
             sid, path = p
             final.add(sid, tid, path)

@@ -18,7 +18,9 @@ A step is stored as four parallel arrays of signed 64-bit ints: the calls'
 source ids, their destination ids, the offset where each call's path ends
 in a flat edge buffer, and that buffer. A schedule of n vertices holds
 n - 1 calls, and this way it keeps no object per call. The builders append
-ids straight to a step (Step.add, or the same appends written out); a call
+ids straight to a step (Step.add, or the same appends written out), and
+write a whole pass of one-edge calls to children or two-edge calls to
+siblings at once (Step.add_child_calls, Step.add_sibling_calls); a call
 already placed changes only through Step.replace_call, on the step itself
 or on a Step.copy. A Call, the NamedTuple (src, dst, path) of two
 VertexRefs and the edge ids in travel order, is a view: iterating a step,
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import enum
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -92,6 +94,25 @@ class Step:
         self.dst.append(dst)
         self.edges.extend(path)
         self.ends.append(len(self.edges))
+
+    def add_child_calls(self, parents: Sequence[int], children: Sequence[int]) -> None:
+        """Record the calls parents[i] -> children[i], each along the child's
+        own edge, (children[i],)."""
+        self.src.extend(parents)
+        self.dst.extend(children)
+        self.ends.extend(range(len(self.edges) + 1, len(self.edges) + len(children) + 1))
+        self.edges.extend(children)
+
+    def add_sibling_calls(self, callers: Sequence[int], siblings: Sequence[int]) -> None:
+        """Record the calls callers[i] -> siblings[i], each through their
+        common parent, along (callers[i], siblings[i])."""
+        paths = [0] * (2 * len(callers))
+        paths[0::2] = callers
+        paths[1::2] = siblings
+        self.src.extend(callers)
+        self.dst.extend(siblings)
+        self.ends.extend(range(len(self.edges) + 2, len(self.edges) + len(paths) + 1, 2))
+        self.edges.extend(paths)
 
     def copy(self) -> "Step":
         """A step with copies of the arrays, to change without changing this one."""

@@ -272,6 +272,20 @@ def test_replace_call_shifts_only_later_ends(at, new_call):
     assert (len(step), step.cost()) == (3, 6 + shift)
 
 
+def test_pass_writes_match_call_by_call_adds():
+    """A pass written whole lands after the calls already in the step, as
+    the same calls added one by one would."""
+    whole, single = relay_step(), relay_step()
+    whole.add_child_calls([1, 2], [3, 6])
+    whole.add_sibling_calls([5, 8], [6, 10])
+    whole.add_child_calls([], [])
+    whole.add_sibling_calls([], [])
+    for src, dst, path in [(1, 3, [3]), (2, 6, [6]), (5, 6, [5, 6]), (8, 10, [8, 10])]:
+        single.add(src, dst, path)
+    assert whole == single
+    assert list(whole.ends) == [2, 4, 6, 7, 8, 10, 12]
+
+
 def test_schedules_compare_by_value():
     t = new(3, 2)
     u = t.vertex_by_id(5)
