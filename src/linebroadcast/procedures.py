@@ -187,8 +187,8 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
     informed = bytearray(size + 1)
     # per k-block b (offsets b*k + 1 .. b*k + k): its informed offsets, and
     # one more than the highest informed offset's place in it (0 for none)
-    filled = bytearray(size // k)
-    reach = bytearray(size // k)
+    filled = [0] * (size // k)
+    reach = [0] * (size // k)
     pool: list[int] = []  # the informed offsets, sorted when a wide match reads them
     if u_off is not None:
         informed[u_off] = 1

@@ -132,6 +132,18 @@ def test_to_level_other_originators_valid(k, j):
         assert rep.ok, (k, j, uid, rep.violations[:3])
 
 
+@pytest.mark.parametrize("uid", [1, 300], ids=["root", "leaf"])
+def test_to_level_counts_a_block_wider_than_a_byte(uid):
+    """At k = 300 one k-block holds 300 informed offsets, more than a byte
+    can count."""
+    t = new(300, 1)
+    u = t.vertex_by_id(uid)
+    frag = to_level(t, 1, u)
+    rep = validate(as_schedule(t, u, frag), expected_informed={u.id} | level_ids(t, 1),
+                   assume_informed={u.id})
+    assert rep.ok and frag.duration() == 9
+
+
 # -- from_level --------------------------------------------------------------
 
 def test_upcall_assignments_fixtures():
