@@ -7,7 +7,7 @@ same deviation flags. Run it from anywhere, with the standard library only:
     python tools/schedule_digest.py
     python tools/schedule_digest.py --family small-alg1 --family large-trees
 
-With no --family it prints every family below (about 60 s, 40 s of it in
+With no --family it prints every family below (about a minute, half of it in
 small-alg3); --family NAME, repeatable, prints only the families named.
 
 The families:
