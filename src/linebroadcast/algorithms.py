@@ -19,6 +19,15 @@ originator's assist, the stragglers, the closing call, the safety net)
 climb. Every builder writes its calls' ids and paths straight into
 array-backed steps (schedule.Step) and makes no Call or VertexRef.
 
+Most of those calls fall in stars of one shape repeated across a level,
+and these are written a run of families at a time, one strided range per
+child place: alg1's rounds take every family that started the round
+with its parent informed and no child claimed and that no climbing call
+has touched since (the rest, and every overtime step, go call by call),
+and the leaf stars take every parent with no pre-informed leaf (a parent
+with one goes call by call, in its turn). Runs and single calls land in
+the order the call-by-call rule gives them.
+
 lbckt picks per (k, r) the cheapest scheme that still meets the global
 ceil(log2 n) step budget; the two guard comparisons use integer arithmetic
 only.
@@ -96,6 +105,14 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
     # the inner vertices with an uninformed child, ascending, which the
     # overtime steps walk instead of whole levels; None before overtime
     open_parents: list[int] | None = None
+    # a round's families are the inner vertices of its parent level. A
+    # family is dirty when it did not start the round with its parent
+    # informed and no child claimed, or a climbing call has since used its
+    # parent, a child or a child's edge; every other family is clean and
+    # has exactly its first `phase` children informed
+    round_level = 0
+    dirty: set[int] = set()
+    phase = 0
     t = len(steps)
     hard_stop = 4 * r * lam + 64
 
@@ -105,6 +122,19 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
             raise RuntimeError("alg1 failed to converge")
         jj = min(r, (t - 1) // lam + 1)
         overtime = t > r * lam
+        if not overtime and jj != round_level:
+            round_level, phase = jj, 0
+            plo = base[jj - 1] + 1
+            phi = plo + k ** (jj - 1)
+            dirty = set()
+            p = informed.find(0, plo, phi)
+            while p >= 0:
+                dirty.add(p)
+                p = informed.find(0, p + 1, phi)
+            c = informed.find(1, k * plo - k + 2, k * phi - k + 2)
+            while c >= 0:
+                dirty.add((c - 2) // k + 1)
+                c = informed.find(1, c + 1, k * phi - k + 2)
 
         step = Step(tree)
         src_ids, dst_ids, ends, edges = step.src, step.dst, step.ends, step.edges
@@ -120,6 +150,8 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
             used_src.add(src)
             used_edges.update(path)
             claimed[dst] = 1
+            dirty.update((src, dst, (src - 2) // k + 1, (dst - 2) // k + 1))
+            dirty.update([(e - 2) // k + 1 for e in path])
 
         def place(src: int, dst: int) -> bool:
             path = climb(src, dst, used_edges)
@@ -166,40 +198,26 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
                     still_late.append(vid)
             late = still_late
 
-        # the callers of the two passes below: in a round, the informed
-        # vertices of its parent and child levels; in overtime, those of the
-        # open parents and their children, the list pruned of every parent
-        # whose children are all claimed. Both walks are in ascending ids
-        if overtime:
-            if open_parents is None:
-                open_parents = list(range(1, base[r] + 1))
-            open_parents = [p for p in open_parents if first_open(p) < k * p + 2]
-            feeders = [p for p in open_parents if informed[p]]
-            relayers = [w for p in open_parents
-                        for w in range(k * p - k + 2, k * p + 2) if informed[w]]
-        else:
-            feeders, relayers = level_ids(jj - 1), level_ids(jj)
-
         # parents feed their first unclaimed child (cost 1): the path is the
-        # child's edge. No feed can block another, so each pass is checked
-        # against the calls before it and written whole
-        feed_src, feed_dst = [], []
-        for pid in feeders:
-            if pid not in used_src:
+        # child's edge. Then informed children relay to their parent's first
+        # unclaimed child (cost 2): the path is the caller's edge, then the
+        # sibling's, and the parent need not be informed, as only edges are
+        # exclusive. No feed or relay can block another in its pass, so
+        # each pass is checked against the calls before it and written whole
+        feed_src: list[int] = []
+        feed_dst: list[int] = []
+        relay_src: list[int] = []
+        relay_dst: list[int] = []
+
+        def feed(pid: int) -> None:
+            if informed[pid] and pid not in used_src:
                 cid = first_open(pid)
                 if cid < k * pid + 2 and cid not in used_edges:
                     feed_src.append(pid)
                     feed_dst.append(cid)
                     claimed[cid] = 1
-        step.add_child_calls(feed_src, feed_dst)
-        used_src.update(feed_src)
-        used_edges.update(feed_dst)
 
-        # informed children relay to their parent's first unclaimed child
-        # (cost 2): the path is the caller's edge, then the sibling's. The
-        # parent need not be informed, as only edges are exclusive
-        relay_src, relay_dst = [], []
-        for wid in relayers:
+        def relay(wid: int) -> None:
             if wid not in used_src and wid not in used_edges:
                 pid = (wid - 2) // k + 1
                 sid = first_open(pid)
@@ -207,14 +225,69 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
                     relay_src.append(wid)
                     relay_dst.append(sid)
                     claimed[sid] = 1
+
+        if overtime:
+            # the open parents and their informed children, in ascending
+            # ids, the list pruned of every parent whose children are all
+            # claimed. A parent may be a child of another, so the relays
+            # see the feeds' sources
+            if open_parents is None:
+                open_parents = list(range(1, base[r] + 1))
+            open_parents = [p for p in open_parents if first_open(p) < k * p + 2]
+            for pid in open_parents:
+                feed(pid)
+            step.add_child_calls(feed_src, feed_dst)
+            used_src.update(feed_src)
+            for pid in open_parents:
+                for wid in range(k * pid - k + 2, k * pid + 2):
+                    if informed[wid]:
+                        relay(wid)
+        else:
+            # a run of clean families lo..hi-1 feeds child `phase` of each
+            # and relays child i to child fed + i, where fed counts the
+            # claimed children after the feeds: one range per child place.
+            # A dirty family is placed call by call, in its turn
+            plo = base[jj - 1] + 1
+            phi = plo + k ** (jj - 1)
+            cuts = sorted(p for p in dirty if plo <= p < phi) + [phi]
+            lo = plo
+            for p in cuts:
+                if lo < p and phase < k:
+                    first = k * lo - k + 2 + phase
+                    feed_src += range(lo, p)
+                    feed_dst += range(first, k * p - k + 2, k)
+                    claimed[first:k * p - k + 2:k] = b"\x01" * (p - lo)
+                if p < phi:
+                    feed(p)
+                lo = p + 1
+            step.add_child_calls(feed_src, feed_dst)
+            fed = phase + (phase < k)
+            reps = min(phase, k - fed)
+            lo = plo
+            for p in cuts:
+                if lo < p and reps:
+                    first, stop = k * lo - k + 2, k * p - k + 2
+                    src = [0] * ((p - lo) * reps)
+                    dst = [0] * ((p - lo) * reps)
+                    for i in range(reps):
+                        src[i::reps] = range(first + i, stop, k)
+                        dst[i::reps] = range(first + fed + i, stop, k)
+                        claimed[first + fed + i:stop:k] = b"\x01" * (p - lo)
+                    relay_src += src
+                    relay_dst += dst
+                if p < phi:
+                    for wid in range(k * p - k + 2, k * p + 2):
+                        if informed[wid]:
+                            relay(wid)
+                lo = p + 1
+            phase = fed + reps
         step.add_sibling_calls(relay_src, relay_dst)
-        used_src.update(relay_src)
-        used_edges.update(relay_src)
-        used_edges.update(relay_dst)
 
         # closing call: once only the root is missing, a level-1 vertex
         # hands it the message at cost 1 (if none can, a later step does)
         if not claimed[1] and n - informed_count == len(step) + 1:
+            used_src.update(feed_src, relay_src)
+            used_edges.update(feed_dst, relay_src, relay_dst)
             for vid in level_ids(1):
                 if vid not in used_src and place(vid, 1):
                     break
@@ -226,8 +299,8 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
                 vid for vid in range(1, n + 1) if informed[vid])
             place(src, target)
 
-        for vid in step.dst:
-            informed[vid] = 1
+        # every vertex claimed in the step is informed from the next on
+        informed[:] = claimed
         informed_count += len(step)
         steps.append(step)
 
@@ -243,24 +316,68 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
 # alg2: spread to level r-1, fan up, fill the leaf stars
 # ---------------------------------------------------------------------------
 
+def _add_star_run(step: Step, k: int, lo: int, hi: int, m: int, calls: int) -> None:
+    """Record the stars of the parents lo..hi-1, each with exactly its
+    first m children informed, parent by parent: the parent calls child m
+    along (child m,), then child i relays to child m + 1 + i along (child
+    i, child m + 1 + i), for i < calls - 1. One strided range per child
+    place fills each of the step's arrays."""
+    count = hi - lo
+    first, stop = k * lo - k + 2, k * hi - k + 2  # child 0 of lo, of hi
+    width = 2 * calls - 1  # edges per star
+    at = len(step.edges)
+    src = [0] * (count * calls)
+    dst = [0] * (count * calls)
+    ends = [0] * (count * calls)
+    edges = [0] * (count * width)
+    src[0::calls] = range(lo, hi)
+    for i in range(calls):
+        dst[i::calls] = edges[2 * i::width] = range(first + m + i, stop, k)
+        ends[i::calls] = range(at + 2 * i + 1, at + count * width + 1, width)
+        if i:
+            src[i::calls] = edges[2 * i - 1::width] = range(first + i - 1, stop, k)
+    step.src.fromlist(src)
+    step.dst.fromlist(dst)
+    step.ends.fromlist(ends)
+    step.edges.fromlist(edges)
+
+
 def _leaf_star_steps(tree: CompleteKTree, pre_informed: set[int]) -> list[Step]:
-    """Parallel stars: every level-(r-1) vertex feeds its k leaf children."""
+    """Parallel stars: every level-(r-1) vertex feeds its k leaf children.
+
+    In each step a parent calls its first uninformed child, and its
+    informed children, in order, relay through it to the uninformed ones
+    after that. A parent with no pre-informed leaf has exactly its first m
+    children informed, the same m for every such parent, so a run of them
+    between two parents with a pre-informed leaf is written a step at a
+    time by _add_star_run; those parents keep the call-by-call rule, in
+    their turn.
+    """
     k, r = tree.k, tree.r
     first_parent = tree.vertex_id(r - 1, 1)
-    parents = range(first_parent, first_parent + k ** (r - 1))
-    # the informed leaf ids under each parent id, sorted. The children of p
-    # are k(p-1)+2 .. k(p-1)+k+1
-    informed_children: dict[int, list[int]] = {p: [] for p in parents}
-    informed: set[int] = set(pre_informed)
+    end_parent = first_parent + k ** (r - 1)
+    # the informed leaf ids under each parent with a pre-informed leaf,
+    # sorted. The children of p are k(p-1)+2 .. k(p-1)+k+1
+    informed_children: dict[int, list[int]] = {}
     for lid in sorted(pre_informed):
-        informed_children[(lid - 2) // k + 1].append(lid)
+        informed_children.setdefault((lid - 2) // k + 1, []).append(lid)
+    informed: set[int] = set(pre_informed)
+    cuts = sorted(informed_children) + [end_parent]
+    m = 0  # the informed children of every other parent
     remaining = k**r - len(pre_informed)
 
     steps: list[Step] = []
     while remaining > 0:
         step = Step(tree)
-        add = step.add
-        for p in parents:
+        calls = min(m + 1, k - m)
+        fresh: list[int] = []  # the leaves called under the odd parents
+        lo = first_parent
+        for p in cuts:
+            if lo < p and calls:
+                _add_star_run(step, k, lo, p, m, calls)
+            lo = p + 1
+            if p == end_parent:
+                break
             first = k * (p - 1) + 2
             targets = [cid for cid in range(first, first + k) if cid not in informed]
             if not targets:
@@ -268,12 +385,15 @@ def _leaf_star_steps(tree: CompleteKTree, pre_informed: set[int]) -> list[Step]:
             # the parent's call is the first target's edge; each informed
             # leaf relays through the parent, its own edge then the target's
             cid = targets[0]
-            add(p, cid, (cid,))
+            step.add(p, cid, (cid,))
+            fresh.append(cid)
             for sid, cid in zip(informed_children[p], targets[1:]):
-                add(sid, cid, (sid, cid))
-        for lid in step.dst:
+                step.add(sid, cid, (sid, cid))
+                fresh.append(cid)
+        for lid in fresh:
             informed.add(lid)
             insort(informed_children[(lid - 2) // k + 1], lid)
+        m += calls
         remaining -= len(step)
         steps.append(step)
     return steps

@@ -157,8 +157,9 @@ def _build_run_schedule(tree, u, alg: str):
             sched.append_step(step)
         expected = {u.id} | {v.id for v in tree.level_vertices(j)}
         return sched, case.number, None, expected
+    # from_level checks j against [1, r] before the level is listed
+    frag = from_level(tree, j, u)
     level_ids = {v.id for v in tree.level_vertices(j)}
-    frag = from_level(tree, j, u, informed=level_ids | {u.id})
     sched = Schedule(tree, u, f"fromlevel:{j}")
     for step in frag.steps:
         sched.append_step(step)

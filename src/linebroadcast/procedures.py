@@ -33,10 +33,14 @@ reaches is never built.
 
 to_level writes each step's sibling relays down in closed form: the path
 of a call between two vertices of one k-block is (caller id, target id),
-and no edge test can fail while they are placed first. The wider relays
-and the originator's call test their edges while climbing ids
-(CompleteKTree.climb), and a call is recorded only for a placement that
-fits.
+and no edge test can fail while they are placed first. Its delivery order
+is k stripes over the level's k-blocks, so most of a step's sibling
+relays come in runs of blocks with equal fills whose callers sit at one
+place of their blocks; a run is written with one comprehension. The
+wider relays and the originator's call test their edges while climbing
+ids (CompleteKTree.climb), and a call is recorded only for a placement
+that fits. The fan-up table is a list of (i, t, leaf offset, target id)
+rows built from ranges, with target ids in closed form.
 
 Steps are schedule.Step arrays throughout: each procedure writes its calls'
 ids and paths straight into them, merge_upcalls reads the given steps'
@@ -51,7 +55,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, groupby, islice, repeat
 
 from .errors import OutOfRange, PreconditionViolated
 from .ktree import CompleteKTree, VertexRef
@@ -115,25 +119,6 @@ def _digit_reversed(k: int, count: int) -> list[int]:
     return out
 
 
-def _round_target_list(k: int, j: int, m: int) -> list[int]:
-    """Round-m targets in stripe order, windows interleaved across subtrees.
-
-    Serving surplus capacity stripe by stripe keeps every window's informed
-    count even, and walking each stripe in digit-reversed window order
-    spreads the fill across the top-level subtrees, so any leftover
-    imbalance sits between near neighbours instead of across the root.
-    """
-    stride = k ** (j - m)
-    if m == 1:
-        return [1 + i * stride for i in range(k)]
-    window_order = _digit_reversed(k, k ** (m - 1))
-    return [
-        1 + (w * k + s) * stride
-        for s in range(1, k)
-        for w in window_order
-    ]
-
-
 def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
     """Broadcast from u to exactly the vertices of level j.
 
@@ -147,6 +132,14 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
     meeting one level higher, and so on; the originator picks up the first
     target local relays missed, and through-the-root relays mop up.
 
+    That order is k stripes over the level's k**(j-1) k-blocks: entry
+    s * k**(j-1) + x is place s (0-based) of block window[x], where window
+    lists the blocks in digit-reversed order and, as reversing digits twice
+    is the identity, window[b] is block b's window position. Stripe 0 is
+    the anchor grid of rounds 1..j-1, stripes 1..k-1 the last round's. A
+    batch is the targets carried over, then a range of entries with the
+    originator's own offset skipped.
+
     For j >= 2 a step opens with the sibling pass: each batch target, in
     order, hears from the nearest idle informed offset of its k-block (a
     tie goes to the lower offset), along the path (caller id, target id).
@@ -157,16 +150,25 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
     caller is informed and idle, so it is neither; its target is
     uninformed and a new batch entry, so it is neither either.
 
-    The delivery order fills a block's offsets from its lowest up, so most
-    blocks hold a prefix: their informed offsets are their first h. Every
-    target in such a block lies above its informed offsets, and the
-    nearest idle caller is the highest idle one, which is lo + h - 1 - g
-    for the block's first offset lo once the block has given g callers in
-    this step (none when g = h). A block kept as two counts (informed
-    offsets, and one more than the highest informed offset's place in the
-    block) holds a prefix when they are equal. Any other block, the
-    originator's or one above an undelivered target, falls back to
-    scanning outward from the target.
+    The delivery order fills a block's places from its lowest up, so most
+    blocks hold a prefix: their informed places are their first h. Every
+    target in such a block lies above them, and the nearest idle caller is
+    the highest idle one, place h - 1 - g once the block has given g
+    callers in this step (none when g = h). A block kept as two counts
+    (informed places, and one more than the highest informed place) holds
+    a prefix when they are equal. Any other block falls back to scanning
+    outward from the target.
+
+    The sibling pass takes a batch's order entries a run at a time. A run
+    is a range of window positions in one stripe whose blocks hold equal
+    prefixes h and were visited equally often earlier in the batch (once
+    per earlier stripe of the batch that covers them, so the count, and
+    with it g, changes only where the batch began), so its callers sit at
+    one place, h - 1 - g, of their blocks. A run's calls are one
+    comprehension, and its informed places and counts are updated with
+    one slice each once the step is placed. The carried targets, every
+    visit to their blocks or to the originator's, and the blocks that
+    hold no prefix take the per-target rule.
 
     Every later placement checks edge-disjointness against the step so
     far while it climbs. At the wider scales a caller outside the target's
@@ -178,43 +180,53 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
         raise OutOfRange(f"level {j} not in [1, {tree.r}]")
     k = tree.k
     size = k**j
+    blocks = size // k
     climb = tree.climb
     # level_base[i] + offset is the id of the vertex (i, offset)
     level_base = [(k**i - 1) // (k - 1) for i in range(j + 1)]
     base = level_base[j]
+    window = _digit_reversed(k, blocks)
 
-    u_off = u.offset if u.level == j else None
-    informed = bytearray(size + 1)
-    # per k-block b (offsets b*k + 1 .. b*k + k): its informed offsets, and
-    # one more than the highest informed offset's place in it (0 for none)
-    filled = [0] * (size // k)
-    reach = [0] * (size // k)
-    pool: list[int] = []  # the informed offsets, sorted when a wide match reads them
-    if u_off is not None:
-        informed[u_off] = 1
-        pool.append(u_off)
-        filled[(u_off - 1) // k] = 1
-        reach[(u_off - 1) // k] = (u_off - 1) % k + 1
+    # per window position x: informed[x * k + p] for each place p of the
+    # block window[x], its informed places (filled) and one more than its
+    # highest informed place (reach, 0 for none)
+    informed = bytearray(size)
+    filled = [0] * blocks
+    reach = [0] * blocks
+    pool: list[int] = []  # the informed level-j ids, sorted when a wide match reads them
+    gap = -1  # the order entry of the originator's offset, which no batch holds
+    u_x: set[int] = set()  # the originator's window position, if on level j
+    if u.level == j:
+        b, p = divmod(u.offset - 1, k)
+        x = window[b]
+        informed[x * k + p] = 1
+        filled[x], reach[x] = 1, p + 1
+        pool.append(u.id)
+        gap = p * blocks + x
+        u_x.add(x)
 
-    order = [off for m in range(1, j + 1) for off in _round_target_list(k, j, m)
-             if off != u_off]
-    taken = 0  # order[:taken] has been handed to a batch
+    taken = 1 if gap == 0 else 0  # entries before taken have been handed to a batch
     carried: list[int] = []  # the last batch's undelivered targets
 
     steps: list[Step] = []
 
-    while carried or taken < len(order):
+    while carried or taken < size:
         # carried is shorter than capacity: it is what the last batch, no
         # larger than the last capacity, did not deliver
         capacity = len(pool) + (1 if u.level != j else 0)
-        batch = carried + order[taken:taken + capacity - len(carried)]
-        taken += capacity - len(carried)
+        start = taken
+        stop = start + capacity - len(carried)
+        if start < gap < stop:
+            stop += 1
+        stop = min(stop, size)
+        taken = stop + 1 if stop == gap else stop
         pool_sorted = False
 
         step = Step(tree)
         src_ids, dst_ids, ends, edges = step.src, step.dst, step.ends, step.edges
         used_sources: set[int] = set()
         used_edges: set[int] = set()
+        singles: list[int] = []  # offsets delivered outside a sibling run
 
         def add(sid: int, q_off: int, path: tuple[int, ...]) -> None:
             """Record the call from id sid (u, or a level-j vertex) to
@@ -225,6 +237,7 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
             ends.append(len(edges))
             used_sources.add(sid)
             used_edges.update(path)
+            singles.append(q_off)
 
         def match_in_range(q_off: int, lvl: int) -> bool:
             """Idle informed caller for q among the level-lvl subtree's
@@ -234,9 +247,9 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
                 pool.sort()
                 pool_sorted = True
             span = k ** (j - lvl)
-            lo_off = q_off - (q_off - 1) % span
+            lo_id = base + q_off - (q_off - 1) % span
             inner = span // k
-            inner_lo = q_off - (q_off - 1) % inner
+            inner_lo = base + q_off - (q_off - 1) % inner
             inner_hi = inner_lo + inner - 1
             # every caller left meets q at their level-lvl ancestor, so all
             # their calls share its way down to q: climb that once, and
@@ -245,11 +258,10 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
             down = climb(top, base + q_off, used_edges)
             if down is None:
                 return False
-            for c_off in _nearest_first(pool, q_off, bisect_left(pool, lo_off),
-                                        bisect_left(pool, lo_off + span)):
-                if inner_lo <= c_off <= inner_hi:
+            for sid in _nearest_first(pool, base + q_off, bisect_left(pool, lo_id),
+                                      bisect_left(pool, lo_id + span)):
+                if inner_lo <= sid <= inner_hi:
                     continue  # tried at a tighter radius already
-                sid = base + c_off
                 if sid in used_sources:
                     continue
                 up = climb(sid, top, used_edges)
@@ -263,40 +275,98 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
         # j = 1 the block is the whole level and its relays are the
         # through-the-root mop-up below, which comes after the originator
         if j == 1:
-            unserved = batch
+            unserved = carried + [e + 1 for e in range(start, stop) if e != gap]
         else:
             unserved = []
             callers: list[int] = []
             targets: list[int] = []
-            given: dict[int, int] = {}  # callers each prefix block gave
-            for q_off in batch:
-                b = (q_off - 1) // k
-                h = filled[b]
-                if h == reach[b]:
-                    # a prefix block: its highest idle informed offset
-                    g = given.get(b, 0)
+            runs: list[tuple[int, int, int]] = []  # (x from, x to, stripe) of each served run
+            # visits to the carried targets' blocks and the originator's,
+            # counted one by one; any other block's come from the batch's shape
+            odd = {window[(q_off - 1) // k] for q_off in carried} | u_x
+            visits = dict.fromkeys(odd, 0)
+
+            def one(q_off: int, earlier: int) -> None:
+                """The sibling rule for one target; earlier is the visits
+                to its block before it in this batch, unless the block is odd."""
+                b, p = divmod(q_off - 1, k)
+                x = window[b]
+                h = filled[x]
+                if h == reach[x]:
+                    # a prefix block: its highest idle informed place
+                    if x in visits:
+                        earlier = visits[x]
+                        visits[x] += 1
+                    g = min(earlier, h)  # the callers it gave in this step
                     if g == h:
                         unserved.append(q_off)
-                        continue
-                    given[b] = g + 1
+                        return
                     c_off = b * k + h - g
                 else:
-                    lo_off = b * k + 1
+                    row = x * k
                     for d in range(1, k):  # the lower offset first on a tie
-                        c_off = q_off - d
-                        if c_off >= lo_off and informed[c_off] and base + c_off not in used_sources:
+                        if (p >= d and informed[row + p - d]
+                                and base + q_off - d not in used_sources):
+                            c_off = q_off - d
                             break
-                        c_off = q_off + d
-                        if c_off < lo_off + k and informed[c_off] and base + c_off not in used_sources:
+                        if (p + d < k and informed[row + p + d]
+                                and base + q_off + d not in used_sources):
+                            c_off = q_off + d
                             break
                     else:
                         unserved.append(q_off)
-                        continue
+                        return
                     # the scan reads used_sources; a prefix block's callers
                     # are only recorded there after the pass
                     used_sources.add(base + c_off)
                 callers.append(base + c_off)
                 targets.append(base + q_off)
+                singles.append(q_off)
+
+            def run(s: int, lo: int, hi: int, earlier: int) -> None:
+                """The sibling rule for stripe s at window positions lo..hi-1,
+                each block visited earlier times before in this batch: a run
+                per stretch of equal prefixes, the rest one by one."""
+                at = lo
+                for (h, r), same in groupby(zip(filled[lo:hi], reach[lo:hi])):
+                    end = at + len(list(same))
+                    g = min(earlier, h)
+                    if h != r:
+                        for x in range(at, end):
+                            one(1 + window[x] * k + s, earlier)
+                    elif g == h:
+                        unserved.extend([1 + s + b * k for b in window[at:end]])
+                    else:
+                        # target place s, caller place h - 1 - g
+                        ids = [base + 1 + s + b * k for b in window[at:end]]
+                        shift = 1 + s - h + g
+                        callers.extend([q - shift for q in ids])
+                        targets.extend(ids)
+                        runs.append((at, end, s))
+                    at = end
+
+            for q_off in carried:
+                one(q_off, 0)
+            # the order entries by stripe: stripe s covers window positions
+            # lo..hi-1. A block at x was visited once by each earlier stripe
+            # of this batch, except by the first if that began after x
+            first_stripe, x_first = divmod(start, blocks)
+            for s in range(first_stripe, (stop - 1) // blocks + 1):
+                lo = max(start - s * blocks, 0)
+                hi = min(stop - s * blocks, blocks)
+                i = s - first_stripe
+                cuts = {x for x in odd if lo <= x < hi}
+                if i and lo < x_first < hi:
+                    cuts.add(x_first)
+                at = lo
+                for x in sorted(cuts) + [hi]:
+                    if at < x:
+                        run(s, at, x, i - (at < x_first))
+                    at = x
+                    if x in odd and x < hi:
+                        if s * blocks + x != gap:
+                            one(1 + window[x] * k + s, 0)
+                        at = x + 1
             step.add_sibling_calls(callers, targets)
             used_sources.update(callers)
             used_edges.update(callers)
@@ -320,8 +390,7 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
             if path is not None:
                 add(u.id, unserved[0], tuple(path))
                 unserved = unserved[1:]
-        for q_off in unserved:
-            match_in_range(q_off, 0)
+        unserved = [q_off for q_off in unserved if not match_in_range(q_off, 0)]
 
         # swap: if the originator idled, let it absorb the priciest call
         # it can run cheaper, edge-checked against the rest of the step
@@ -351,15 +420,22 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
         if not len(step):
             raise RuntimeError("to_level made no progress")  # pragma: no cover
 
-        for did in step.dst:
-            off = did - base
-            informed[off] = 1
-            pool.append(off)
-            b = (off - 1) // k
-            filled[b] += 1
-            if off - b * k > reach[b]:
-                reach[b] = off - b * k
-        carried = [off for off in batch if not informed[off]]
+        # every target delivered is informed from the next step on: a run's
+        # blocks a slice at a time, any other target by itself
+        pool.extend(step.dst)
+        if j > 1:
+            for lo, hi, s in runs:
+                informed[lo * k + s:hi * k:k] = b"\x01" * (hi - lo)
+                filled[lo:hi] = [h + 1 for h in filled[lo:hi]]
+                reach[lo:hi] = [r if r > s else s + 1 for r in reach[lo:hi]]
+        for q_off in singles:
+            b, p = divmod(q_off - 1, k)
+            x = window[b]
+            informed[x * k + p] = 1
+            filled[x] += 1
+            if p >= reach[x]:
+                reach[x] = p + 1
+        carried = unserved
         steps.append(step)
 
     return Fragment(steps)
@@ -380,6 +456,22 @@ class UpcallAssignment:
     target_offset: int
 
 
+def _upcall_rows(k: int, j: int) -> list[tuple[int, int, int, int]]:
+    """(i, t, leaf offset, target id) per fan-up call above level j, in
+    upcall_assignments' order, built a distance at a time from ranges:
+    the level-(j-i) ids follow the (k**(j-i) - 1)/(k - 1) ids above them."""
+    rows: list[tuple[int, int, int, int]] = []
+    for i in range(1, j + 1):
+        first = 1 + (k ** (i - 1) - 1) // (k - 1)
+        stride = k**i
+        count = k ** (j - i)
+        above = (count - 1) // (k - 1)
+        rows += zip(repeat(i), range(1, count + 1),
+                    range(first, first + count * stride, stride),
+                    range(above + 1, above + count + 1))
+    return rows
+
+
 def upcall_assignments(k: int, j: int) -> list[UpcallAssignment]:
     """The designated fan-up sources for every target above level j.
 
@@ -390,13 +482,7 @@ def upcall_assignments(k: int, j: int) -> list[UpcallAssignment]:
     """
     if k < 2 or j < 1:
         raise OutOfRange(f"need k >= 2 and j >= 1, got k={k}, j={j}")
-    out = []
-    for i in range(1, j + 1):
-        first = 1 + (k ** (i - 1) - 1) // (k - 1)
-        stride = k**i
-        for t in range(1, k ** (j - i) + 1):
-            out.append(UpcallAssignment(i, t, first + (t - 1) * stride, j - i, t))
-    return out
+    return [UpcallAssignment(i, t, leaf, j - i, t) for i, t, leaf, _ in _upcall_rows(k, j)]
 
 
 def from_level(
@@ -421,12 +507,9 @@ def from_level(
                 f"{len(missing)} level-{j} vertices uninformed (first: {missing[:5]})"
             )
     step = Step(tree)
-    for a in upcall_assignments(tree.k, j):
-        tid = tree.vertex_id(a.target_level, a.target_offset)
-        if tid == u.id:
-            continue
-        sid = base + a.leaf_offset
-        step.add(sid, tid, tree.climb(sid, tid))
+    for _, _, leaf, tid in _upcall_rows(tree.k, j):
+        if tid != u.id:
+            step.add(base + leaf, tid, tree.climb(base + leaf, tid))
     return Fragment([step])
 
 
@@ -576,21 +659,10 @@ def merge_upcalls(
     level_base = tree.vertex_id(j, 1) - 1
     top = level_base + k**j  # the level-j ids are level_base + 1 .. top
 
-    def subtree_span(a: UpcallAssignment) -> tuple[int, int]:
-        lo = (a.t - 1) * k**a.i + 1
-        return lo, lo + k**a.i - 1
-
-    # each open fan-up call as (its assignment, its target id)
-    assignments = []
-    for a in upcall_assignments(k, j):
-        tid = tree.vertex_id(a.target_level, a.target_offset)
-        if tid != u.id:
-            assignments.append((a, tid))
-
-    def in_span(pool: list[int], a: UpcallAssignment) -> tuple[int, int]:
-        """The slice of the sorted pool inside a's subtree span."""
-        lo, hi = subtree_span(a)
-        return bisect_left(pool, lo), bisect_left(pool, hi + 1)
+    def subtree_span(i: int, t: int) -> tuple[int, int]:
+        """The level-j offsets under the target t of distance i."""
+        lo = (t - 1) * k**i + 1
+        return lo, lo + k**i - 1
 
     # the informed level-j offsets, sorted, and how many of them up to each
     # offset the final step does not already send from
@@ -602,25 +674,29 @@ def merge_upcalls(
             idle[off] = 1
     idle_upto = array("q", accumulate(idle))
 
-    def free_in_span(a: UpcallAssignment) -> int:
-        span = k**a.i
-        return idle_upto[a.t * span] - idle_upto[(a.t - 1) * span]
+    # each open fan-up call as a row (i, t, leaf offset, target id),
+    # scarcest first (the idle informed offsets under its target), so
+    # flexible calls route around committed ones
+    spans = [k**i for i in range(j + 1)]
+    assignments = [row[1:] for row in sorted(
+        (idle_upto[t * spans[i]] - idle_upto[(t - 1) * spans[i]], i, t, leaf, tid)
+        for i, t, leaf, tid in _upcall_rows(k, j) if tid != u.id)]
 
-    # scarcest first, so flexible assignments route around committed ones
-    assignments.sort(key=lambda e: (free_in_span(e[0]), e[0].i, e[0].t))
-
-    def upcall_options(a: UpcallAssignment, tid: int, skip_busy: set[int],
+    def upcall_options(entry: tuple[int, int, int, int], skip_busy: set[int],
                        pool: list[int], raised: list[int]):
-        """a's (source id, path) options toward tid, best first, each path
-        built when the search asks for the option. pool is the informed
-        level-j offsets, sorted; skip_busy holds the ids that already send;
-        raised holds the ids above level j that the previous step informs."""
-        lo, hi = subtree_span(a)
+        """entry's (source id, path) options toward its target, best first,
+        each path built when the search asks for the option. pool is the
+        informed level-j offsets, sorted; skip_busy holds the ids that
+        already send; raised holds the ids above level j that the previous
+        step informs."""
+        i, t, leaf, tid = entry
+        lo, hi = subtree_span(i, t)
         # targets a pulled fan-up call informed a step early, nearest first
         for vid in sorted(raised, key=lambda vid: (len(climb(vid, tid)), vid)):
             if vid not in skip_busy:
                 yield vid, tuple(climb(vid, tid))
-        for off in _nearest_first(pool, a.leaf_offset, *in_span(pool, a)):
+        for off in _nearest_first(pool, leaf, bisect_left(pool, lo),
+                                  bisect_left(pool, hi + 1)):
             sid = level_base + off
             if sid not in skip_busy:
                 yield sid, tuple(climb(sid, tid))
@@ -652,9 +728,9 @@ def merge_upcalls(
         pre_edges = set(batch.edges)
         pre: dict[int, tuple[int, tuple[int, ...]]] = {}
         rest_pos = []
-        for pos, (a, _) in enumerate(assigns):
-            if a.i == 1:
-                lo, hi = subtree_span(a)
+        for pos, (i, t, _, _) in enumerate(assigns):
+            if i == 1:
+                lo, hi = subtree_span(i, t)
                 hit = None
                 for off in range(lo, hi + 1):
                     sid = level_base + off
@@ -671,7 +747,7 @@ def merge_upcalls(
         raised = [] if prev is None else [
             vid for vid in prev.dst if not level_base < vid <= top]
         # generators, read no further than _cbj_assign asks, in this call
-        opts = [upcall_options(*assigns[p], pre_busy, pool, raised)
+        opts = [upcall_options(assigns[p], pre_busy, pool, raised)
                 for p in rest_pos]
         rest_picks = _cbj_assign(opts, pre_edges)
         picks = [None] * len(assigns)
@@ -702,7 +778,7 @@ def merge_upcalls(
             run in the final step; None when no caller can. A caller whose
             delivery sources a final-step call keeps it."""
             prev, batch, informed, pool, assigns = state
-            tid = entry[1]
+            tid = entry[3]
             prev_edges = set(prev.edges)
             busy = set(batch.src)
             batch_edges = set(batch.edges)
@@ -740,7 +816,7 @@ def merge_upcalls(
         # kept pull takes an assignment off the open list, so this ends.
         kept = state, picks, rank(state, picks)
         while True:
-            for entry in sorted(kept[0][-1], key=lambda e: -e[0].i):
+            for entry in sorted(kept[0][-1], key=lambda e: -e[0]):
                 trial = pull(kept[0], entry)
                 if trial is None:
                     continue
@@ -758,12 +834,12 @@ def merge_upcalls(
     prev, batch, _, _, assigns = state
     final = batch.copy()
     deferred = Step(tree)
-    for (a, tid), p in zip(assigns, picks):
+    for (_, _, leaf, tid), p in zip(assigns, picks):
         if p is not None:
             sid, path = p
             final.add(sid, tid, path)
         else:
-            sid = level_base + a.leaf_offset
+            sid = level_base + leaf
             deferred.add(sid, tid, climb(sid, tid))
 
     out_steps = steps[:-1] + [final]

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import enum
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -95,24 +95,26 @@ class Step:
         self.edges.extend(path)
         self.ends.append(len(self.edges))
 
-    def add_child_calls(self, parents: Sequence[int], children: Sequence[int]) -> None:
+    def add_child_calls(self, parents: list[int], children: list[int]) -> None:
         """Record the calls parents[i] -> children[i], each along the child's
         own edge, (children[i],)."""
-        self.src.extend(parents)
-        self.dst.extend(children)
-        self.ends.extend(range(len(self.edges) + 1, len(self.edges) + len(children) + 1))
-        self.edges.extend(children)
+        at = len(self.edges)
+        self.src.fromlist(parents)
+        self.dst.fromlist(children)
+        self.ends.fromlist(list(range(at + 1, at + len(children) + 1)))
+        self.edges.fromlist(children)
 
-    def add_sibling_calls(self, callers: Sequence[int], siblings: Sequence[int]) -> None:
+    def add_sibling_calls(self, callers: list[int], siblings: list[int]) -> None:
         """Record the calls callers[i] -> siblings[i], each through their
         common parent, along (callers[i], siblings[i])."""
         paths = [0] * (2 * len(callers))
         paths[0::2] = callers
         paths[1::2] = siblings
-        self.src.extend(callers)
-        self.dst.extend(siblings)
-        self.ends.extend(range(len(self.edges) + 2, len(self.edges) + len(paths) + 1, 2))
-        self.edges.extend(paths)
+        at = len(self.edges)
+        self.src.fromlist(callers)
+        self.dst.fromlist(siblings)
+        self.ends.fromlist(list(range(at + 2, at + len(paths) + 1, 2)))
+        self.edges.fromlist(paths)
 
     def copy(self) -> "Step":
         """A step with copies of the arrays, to change without changing this one."""

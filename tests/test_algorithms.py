@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from linebroadcast.bounds import (
     ceil_log2,
     tree_size,
 )
+from linebroadcast.algorithms import _leaf_star_steps
 from linebroadcast.procedures import to_level
 
 
@@ -129,6 +131,46 @@ def test_alg2_star_round_cost_component():
     star_steps = s.steps[-lam:]
     star_cost = sum(c.cost for st in star_steps for c in st.calls)
     assert star_cost == k ** (r - 1) * (2 * k - lam) == 12
+
+
+def _leaf_stars_call_by_call(tree, pre_informed):
+    """The leaf stars by their per-call rule: in each step every level-(r-1)
+    parent, in id order, calls its first uninformed child along that
+    child's edge, and then its informed children, ascending, relay through
+    it to the uninformed ones after that, one each."""
+    k, r = tree.k, tree.r
+    first_parent = tree.vertex_id(r - 1, 1)
+    informed = set(pre_informed)
+    steps = []
+    while len(informed) < k**r:
+        calls = []
+        for p in range(first_parent, first_parent + k ** (r - 1)):
+            children = range(k * (p - 1) + 2, k * p + 2)
+            targets = [c for c in children if c not in informed]
+            if targets:
+                calls.append((p, targets[0], [targets[0]]))
+                have = [c for c in children if c in informed]
+                calls += [(s, c, [s, c]) for s, c in zip(have, targets[1:])]
+        informed.update(d for _, d, _ in calls)
+        steps.append(calls)
+    return steps
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_leaf_stars_match_the_call_by_call_rule(k):
+    """The run-wise leaf stars place the same calls, in the same order, as
+    the per-call rule: with no leaf pre-informed, with each single leaf,
+    and with three seeded sets of several leaves."""
+    for r in range(1, 4):
+        t = new(k, r)
+        leaves = [v.id for v in t.level_vertices(r)]
+        rng = random.Random(100 * k + r)
+        pre_sets = [set()] + [{lid} for lid in leaves] + [
+            set(rng.sample(leaves, min(size, len(leaves))))
+            for size in (2, len(leaves) // 2, len(leaves) - 1)]
+        for pre in pre_sets:
+            got = [list(step.id_calls()) for step in _leaf_star_steps(t, pre)]
+            assert got == _leaf_stars_call_by_call(t, pre), (k, r, sorted(pre))
 
 
 def test_alg3_fixtures():

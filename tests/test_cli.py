@@ -263,6 +263,14 @@ def test_run_fragment_bad_level(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("alg", ["fromlevel:3", "fromlevel:-1"])
+def test_run_fromlevel_bad_level_names_its_range(capsys, alg):
+    """from_level takes levels 1..r, not the 0..r of a level listing."""
+    code, out, err = run_cli(capsys, "run", "--k", "2", "--r", "2", "--alg", alg)
+    assert code == 1 and out == ""
+    assert err.strip() == f"error: OutOfRange: level {alg[10:]} not in [1, 2]"
+
+
 def test_oracle_cli(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--k", "2", "--r", "1")
     assert code == 0

@@ -17,7 +17,7 @@ from linebroadcast import (
 )
 from linebroadcast.bounds import ceil_log2, fromlevel_cost, tolevel_upper
 from linebroadcast.errors import OutOfRange, PreconditionViolated
-from linebroadcast.procedures import _cbj_assign, _digit_reversed
+from linebroadcast.procedures import _cbj_assign, _digit_reversed, _upcall_rows
 
 
 def as_schedule(tree, u, frag, tag="frag"):
@@ -70,6 +70,27 @@ def test_digit_reversed_matches_definition(k):
             digits = [(w // k**i) % k for i in range(p)]  # least significant first
             expected.append(sum(d * k ** (p - 1 - i) for i, d in enumerate(digits)))
         assert _digit_reversed(k, k**p) == expected, (k, p)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_delivery_order_is_k_stripes_of_window_positions(k):
+    """to_level's delivery order, round by round, stripe by stripe and the
+    windows of a stripe in digit-reversed order, is k stripes over the
+    level's k-blocks in window order: entry s * k**(j-1) + x is place s of
+    block window[x]. Reversing digits twice is the identity, so window[b]
+    is block b's position."""
+    for j in range(1, 5):
+        order = []
+        for m in range(1, j + 1):
+            stride = k ** (j - m)
+            windows = [0] if m == 1 else _digit_reversed(k, k ** (m - 1))
+            stripes = range(k) if m == 1 else range(1, k)
+            this_round = [1 + (w * k + s) * stride for s in stripes for w in windows]
+            assert set(this_round) == round_targets(k, j, m)
+            order += this_round
+        window = _digit_reversed(k, k ** (j - 1))
+        assert order == [1 + window[x] * k + s for s in range(k) for x in range(k ** (j - 1))]
+        assert [window[b] for b in window] == list(range(k ** (j - 1)))
 
 
 # -- to_level ----------------------------------------------------------------
@@ -171,6 +192,19 @@ def test_upcall_assignments_distinct():
             for a in plan:
                 anc = (a.leaf_offset - 1) // k**a.i + 1
                 assert anc == a.target_offset
+
+
+def test_upcall_rows_name_each_target_by_its_id():
+    """The fan-up table's rows carry each target's id in closed form, the
+    id vertex_id gives its (level, offset)."""
+    for k in range(2, 9):
+        for j in range(1, 5):
+            t = new(k, j)
+            plan = upcall_assignments(k, j)
+            rows = _upcall_rows(k, j)
+            assert [row[:3] for row in rows] == [(a.i, a.t, a.leaf_offset) for a in plan]
+            assert [row[3] for row in rows] == [
+                t.vertex_id(a.target_level, a.target_offset) for a in plan]
 
 
 def test_from_level_exact_costs():
