@@ -236,51 +236,46 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
             open_parents = [p for p in open_parents if first_open(p) < k * p + 2]
             for pid in open_parents:
                 feed(pid)
-            step.add_child_calls(feed_src, feed_dst)
             used_src.update(feed_src)
             for pid in open_parents:
                 for wid in range(k * pid - k + 2, k * pid + 2):
                     if informed[wid]:
                         relay(wid)
         else:
-            # a run of clean families lo..hi-1 feeds child `phase` of each
-            # and relays child i to child fed + i, where fed counts the
-            # claimed children after the feeds: one range per child place.
-            # A dirty family is placed call by call, in its turn
+            # in a round no family's calls depend on another's. A run of
+            # clean families lo..p-1 feeds child `phase` of each and relays
+            # child i to child fed + i, where fed counts the claimed children
+            # after the feed: one range per child place. A dirty family is
+            # placed call by call, in its turn
             plo = base[jj - 1] + 1
             phi = plo + k ** (jj - 1)
-            cuts = sorted(p for p in dirty if plo <= p < phi) + [phi]
-            lo = plo
-            for p in cuts:
-                if lo < p and phase < k:
-                    first = k * lo - k + 2 + phase
-                    feed_src += range(lo, p)
-                    feed_dst += range(first, k * p - k + 2, k)
-                    claimed[first:k * p - k + 2:k] = b"\x01" * (p - lo)
-                if p < phi:
-                    feed(p)
-                lo = p + 1
-            step.add_child_calls(feed_src, feed_dst)
             fed = phase + (phase < k)
             reps = min(phase, k - fed)
             lo = plo
-            for p in cuts:
-                if lo < p and reps:
+            for p in sorted(p for p in dirty if plo <= p < phi) + [phi]:
+                if lo < p:
                     first, stop = k * lo - k + 2, k * p - k + 2
-                    src = [0] * ((p - lo) * reps)
-                    dst = [0] * ((p - lo) * reps)
-                    for i in range(reps):
-                        src[i::reps] = range(first + i, stop, k)
-                        dst[i::reps] = range(first + fed + i, stop, k)
-                        claimed[first + fed + i:stop:k] = b"\x01" * (p - lo)
-                    relay_src += src
-                    relay_dst += dst
+                    if phase < k:
+                        feed_src += range(lo, p)
+                        feed_dst += range(first + phase, stop, k)
+                        claimed[first + phase:stop:k] = b"\x01" * (p - lo)
+                    if reps:
+                        src = [0] * ((p - lo) * reps)
+                        dst = [0] * ((p - lo) * reps)
+                        for i in range(reps):
+                            src[i::reps] = range(first + i, stop, k)
+                            dst[i::reps] = range(first + fed + i, stop, k)
+                            claimed[first + fed + i:stop:k] = b"\x01" * (p - lo)
+                        relay_src += src
+                        relay_dst += dst
                 if p < phi:
+                    feed(p)
                     for wid in range(k * p - k + 2, k * p + 2):
                         if informed[wid]:
                             relay(wid)
                 lo = p + 1
             phase = fed + reps
+        step.add_child_calls(feed_src, feed_dst)
         step.add_sibling_calls(relay_src, relay_dst)
 
         # closing call: once only the root is missing, a level-1 vertex
@@ -370,7 +365,7 @@ def _leaf_star_steps(tree: CompleteKTree, pre_informed: set[int]) -> list[Step]:
     while remaining > 0:
         step = Step(tree)
         calls = min(m + 1, k - m)
-        fresh: list[int] = []  # the leaves called under the odd parents
+        fresh: list[int] = []  # leaves called call by call
         lo = first_parent
         for p in cuts:
             if lo < p and calls:
