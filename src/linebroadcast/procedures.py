@@ -124,7 +124,9 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
 
     The delivery order is fixed up front: rounds ascending, stripes within
     a round ascending, windows within a stripe in digit-reversed order, so
-    every window's fill stays within one stripe of every other's. Step t
+    every window's fill stays within one stripe of every other's, and each
+    stripe spreads across the top-level subtrees, leaving any imbalance
+    between near neighbours instead of across the root. Step t
     delivers the next batch of that order, sized so the informed population
     doubles exactly (capped by what is left); a batch target left
     undelivered leads the next batch. Within a step, targets are matched to

@@ -9,9 +9,10 @@ layer the line gives the best and the median self time over the passes,
 in ms: the time spent inside that function, less the time spent in the
 traced functions it calls. The layers are the builders' phases,
 `to_level`, `merge_upcalls`, `alg1`, `alg2` (less its leaf stars),
-`_leaf_star_steps` and `alg3`, and `validate`; `lbckt` and `optimal_cost`
-are traced so that their own time is not charged to a caller. The last
-line is the whole pass, best and median.
+`_leaf_star_steps` and `alg3`, `validate`, and the exhaustive
+`optimal_cost` that the `oracle` workload runs; `lbckt` is traced so that
+its own time is not charged to a caller. The last line is the whole
+pass, best and median.
 
 Nothing is checked here (perfbench checks the same operations), and the
 program is imported from this checkout's `src`.
@@ -35,7 +36,7 @@ import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 LAYERS = ("to_level", "merge_upcalls", "alg1", "alg2", "_leaf_star_steps", "alg3",
-          "validate")
+          "validate", "optimal_cost")
 
 
 def install(tracer: tracing.Tracer) -> None:
