@@ -2,17 +2,24 @@
 
 Ground truth for small trees: a depth-first search over the informed sets
 each step can reach, memoised on a canonical form of the informed set
-(sibling subtrees are interchangeable, so states are encoded as recursively
-sorted subtree shapes). States that cannot finish within the remaining
-steps (informed count can at most double per step) are cut immediately.
+(sibling subtrees are interchangeable, so each state is encoded as an
+integer code interned from its recursively sorted subtree shapes). States
+that cannot finish within the remaining steps (informed count can at most
+double per step) are cut immediately.
 
 A step's options come from one bottom-up pass over edge states, not from
 listing call sets. Within a step each tree edge carries nothing, one path up
 or one path down (unit-capacity routing on a tree), so the pass gives every
 reachable next informed set with the fewest edges any call set reaching it
-uses. The witness re-runs the pass with the step's destinations fixed,
-reads off every edge's state, and pairs senders with receivers where their
-paths meet to realize one call set at exactly that cost.
+uses. The last step has one option, the full set, so it is priced by the
+same pass with every uninformed vertex a destination, keeping one cost per
+edge state. Each search node tries its options in the order of a lower
+bound, the option's cost plus one edge per vertex still uninformed, and
+stops once that bound reaches its best value; the bound never exceeds the
+true cost, so the memo holds exact minima. The witness re-runs the pass
+with the step's destinations fixed, reads off every edge's state, and pairs
+senders with receivers where their paths meet to realize one call set at
+exactly that cost.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .errors import OutOfRange, TooLarge
 from .ktree import CompleteKTree, VertexRef
 from .schedule import Schedule, Step, validate
 
-ORACLE_CAP = 15
+ORACLE_CAP = 21
 _INF = float("inf")
 
 
@@ -40,27 +47,34 @@ class _Searcher:
         self.kids = [range(0)] + [
             range((v - 1) * k + 2, min(v * k + 1, tree.n) + 1) for v in range(1, tree.n + 1)
         ]
-        self._canon_cache: dict[int, tuple] = {}
-        self._memo: dict[tuple, float] = {}
+        self._spans = [slice(r.start, r.stop) for r in self.kids]
+        self._inner = [v for v in range(tree.n, 0, -1) if self.kids[v]]
+        self._interned: dict[tuple[int, ...], int] = {(0,): 0, (1,): 1}
+        self._canon_cache: dict[int, int] = {}
+        self._memo: dict[tuple[int, int], float] = {}
 
-    def canon(self, mask: int) -> tuple:
-        """Informed-set signature invariant under sibling-subtree swaps.
+    def canon(self, mask: int) -> int:
+        """Informed-set code invariant under sibling-subtree swaps.
 
-        A vertex's signature is its bit followed by its children's
-        signatures, sorted; vertices of one level have equally many
-        children, so the flat tuple is unambiguous.
+        A vertex's code interns its bit followed by its children's codes,
+        sorted, so two subtrees get one code exactly when they have the
+        same shape; vertices of one level have equally many children, so
+        the key is unambiguous. Codes are built bottom-up over the ids.
         """
         hit = self._canon_cache.get(mask)
         if hit is not None:
             return hit
-        kids = self.kids
-
-        def enc(v: int) -> tuple:
-            return ((mask >> (v - 1)) & 1, *sorted(enc(c) for c in kids[v]))
-
-        sig = enc(1)
-        self._canon_cache[mask] = sig
-        return sig
+        # a leaf's code is its bit: (0,) and (1,) are interned first
+        codes = [0, *(mask >> i & 1 for i in range(self.n))]
+        spans, interned = self._spans, self._interned
+        for v in self._inner:
+            key = (codes[v], *sorted(codes[spans[v]]))
+            code = interned.get(key)
+            if code is None:
+                code = interned[key] = len(interned)
+            codes[v] = code
+        self._canon_cache[mask] = codes[1]
+        return codes[1]
 
     def step_options(self, mask: int) -> dict[int, int]:
         """Every reachable next informed set with the cost of its cheapest call set.
@@ -170,22 +184,74 @@ class _Searcher:
             calls += zip(senders, receivers)
         return sorted(calls)
 
+    def last_step(self, mask: int) -> float:
+        """Fewest edges of one call set informing every vertex outside mask.
+
+        The scalar form of `realize`'s pass with every uninformed vertex a
+        destination: per vertex and parent-edge state, only the fewest edges
+        used inside the subtree. Infinite when no call set informs them all.
+        """
+        kids = self.kids
+        tables: list[dict[int, int]] = [{}] * (self.n + 1)
+        for v in range(self.n, 0, -1):
+            informed = mask >> (v - 1) & 1
+            acc = {0: 0}
+            left = len(kids[v])
+            for c in kids[v]:
+                left -= 1
+                nxt: dict[int, int] = {}
+                for bal, cost in acc.items():
+                    for state, ccost in tables[c].items():
+                        b = bal + state
+                        if -left - 2 <= b <= left + 2 and cost + ccost < nxt.get(b, _INF):
+                            nxt[b] = cost + ccost
+                acc = nxt
+            table: dict[int, int] = {}
+            for bal, cost in acc.items():
+                for own in (0, 1) if informed else (-1,):
+                    state = bal + own
+                    if state not in (-1, 0, 1) or (v == 1 and state):
+                        continue
+                    cost_here = cost + (state != 0)
+                    if cost_here < table.get(state, _INF):
+                        table[state] = cost_here
+            tables[v] = table
+        return tables[1].get(0, _INF)
+
     def best(self, mask: int, steps_left: int) -> float:
+        """Fewest edges informing every vertex from mask within steps_left steps.
+
+        One step from the end only the informed set `full` can follow, so
+        `last_step` prices it directly. Otherwise the node tries its step
+        options cheapest-bound first, where an option's bound is its cost
+        plus one edge per vertex it leaves uninformed (each must still
+        receive a call of at least one edge), and stops at the first bound
+        that reaches the best value found. No option it skips could beat
+        that value, so every memo entry is the exact minimum.
+        """
         if mask == self.full:
             return 0
         if steps_left <= 0:
             return _INF
-        if bin(mask).count("1") << steps_left < self.n:
+        if mask.bit_count() << steps_left < self.n:
             return _INF
         key = (self.canon(mask), steps_left)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        value = _INF
-        for nmask, cost in self.step_options(mask).items():
-            sub = self.best(nmask, steps_left - 1)
-            if sub < _INF:
-                value = min(value, cost + sub)
+        if steps_left == 1:
+            value = self.last_step(mask)
+        else:
+            n = self.n
+            ranked = sorted(
+                (cost + n - nmask.bit_count(), cost, nmask)
+                for nmask, cost in self.step_options(mask).items()
+            )
+            value = _INF
+            for bound, cost, nmask in ranked:
+                if bound >= value:
+                    break
+                value = min(value, cost + self.best(nmask, steps_left - 1))
         self._memo[key] = value
         return value
 
@@ -216,14 +282,14 @@ def optimal_cost(
     witness = Schedule(tree, u, "oracle")
     mask, steps_left, owed = start, budget, total
     while mask != searcher.full:
-        pick = None
-        for nmask, cost in sorted(searcher.step_options(mask).items()):
-            sub = searcher.best(nmask, steps_left - 1)
-            if sub < _INF and cost + sub == owed:
-                pick = (nmask, cost)
-                break
-        assert pick is not None
-        nmask, cost = pick
+        if steps_left == 1:
+            nmask, cost = searcher.full, owed
+        else:
+            nmask, cost = next(
+                (nmask, cost)
+                for nmask, cost in sorted(searcher.step_options(mask).items())
+                if cost + searcher.best(nmask, steps_left - 1) == owed
+            )
         step = Step(tree)
         for s, d in searcher.realize(mask, nmask):
             step.add(s, d, tree.climb(s, d))

@@ -342,6 +342,14 @@ def test_root_lbckt_family_unchanged():
         "c6e68faa0b52500824e556cf9122e4ab279c94d1bd3b4262fcad35aa4ad3b856", 35)
 
 
+def test_oracle_family_unchanged():
+    """The optimal_cost witness from every originator of every tree with
+    n <= 13: the search's bound, last-step pass and canonical codes must
+    keep both the optima and the witnesses chosen."""
+    assert _family_digest("oracle") == (
+        "dc87d0032f698aad9e4cf80a3fb635f43c96014660d36d6d3b8cd62985ab6d0d", 108)
+
+
 def test_lbckt_dispatch():
     t = new(3, 2)
     s, case = lbckt(t, t.root)

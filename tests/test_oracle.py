@@ -1,5 +1,8 @@
 """Exhaustive minimum-cost search on small trees."""
 
+import functools
+import math
+
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
@@ -58,6 +61,62 @@ _T32 = new(3, 2)
 @given(st.integers(1, (1 << _T32.n) - 1))
 def test_step_options_match_enumeration_on_random_masks(mask):
     assert _Searcher(_T32).step_options(mask) == enumerated_options(_T32, mask)
+
+
+@pytest.mark.parametrize("k,r", [(2, 1), (3, 1), (4, 1), (2, 2)])
+def test_last_step_matches_step_options_on_every_mask(k, r):
+    t = new(k, r)
+    searcher = _Searcher(t)
+    for mask in range(1, searcher.full):
+        assert searcher.last_step(mask) == searcher.step_options(mask).get(searcher.full, math.inf), mask
+    assert searcher.last_step(searcher.full) == 0  # the empty call set
+
+
+@seed(16)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, (1 << _T32.n) - 2))
+def test_last_step_matches_step_options_on_random_masks(mask):
+    searcher = _Searcher(_T32)
+    assert searcher.last_step(mask) == searcher.step_options(mask).get(searcher.full, math.inf)
+
+
+def unbounded_search(tree):
+    """Reference for `optimal_cost`: a memoised search over every step option,
+    keyed on the informed set itself, with no bound and no last-step pass."""
+    searcher = _Searcher(tree)
+
+    @functools.cache
+    def search(mask, steps_left):
+        if mask == searcher.full:
+            return 0
+        if steps_left == 0:
+            return math.inf
+        return min((cost + search(nmask, steps_left - 1)
+                    for nmask, cost in searcher.step_options(mask).items()), default=math.inf)
+
+    return search
+
+
+SMALL_TREES = [(k, 1) for k in range(2, 10)] + [(2, 2)]  # every tree with n <= 10
+
+
+@pytest.mark.parametrize("k,r", SMALL_TREES)
+def test_bounded_search_matches_the_unbounded_one(k, r):
+    t = new(k, r)
+    search = unbounded_search(t)
+    low = ceil_log2(t.n)
+    for budget in range(low, low + 3):
+        for uid in range(1, t.n + 1):
+            cost, witness = optimal_cost(t, t.vertex_by_id(uid), time_budget=budget)
+            assert cost == search(1 << (uid - 1), budget) == witness.total_cost(), (uid, budget)
+
+
+def test_k4_r2_within_the_default_cap():
+    t = new(4, 2)  # n = 21
+    cost, witness = optimal_cost(t, t.root)
+    assert cost == 26
+    assert validate(witness).ok
+    assert witness.total_cost() == cost and witness.total_time() <= ceil_log2(t.n)
 
 
 @pytest.mark.parametrize("k,r", [(2, 2), (3, 1), (3, 2)])
@@ -133,7 +192,7 @@ def test_unit_chain_with_unbounded_time():
 
 
 def test_cap():
-    t = new(2, 4)  # n = 31, above the default cap of 15
+    t = new(2, 4)  # n = 31, above the default cap of 21
     with pytest.raises(TooLarge):
         optimal_cost(t, t.root)
     # raising the cap is the caller's own risk

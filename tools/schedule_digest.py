@@ -21,7 +21,9 @@ The families:
     (8,5) the last vertex of level 1, the middle vertex of level r-1 and
     the middle leaf);
   * root-alg2, root-alg3, root-lbckt: each from the root at the 35 grid
-    points.
+    points;
+  * oracle: the optimal_cost witness from every originator of every tree
+    with n <= 13, within the default budget of ceil(log2 n) steps.
 
 Each line gives the family, its digest, its schedule count and its time.
 """
@@ -37,7 +39,7 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from linebroadcast import CompleteKTree, alg1, alg2, alg3, lbckt  # noqa: E402
+from linebroadcast import CompleteKTree, alg1, alg2, alg3, lbckt, optimal_cost  # noqa: E402
 from linebroadcast.procedures import to_level  # noqa: E402
 
 
@@ -49,6 +51,8 @@ GRID = sorted(((k, r) for k in range(2, 9) for r in range(1, 6)),
               key=lambda kr: _size(*kr))
 SMALL = [(k, r) for k, r in GRID if _size(k, r) <= 400]
 LARGE = [(k, r) for k, r in GRID if 400 < _size(k, r) <= 50_000]
+ORACLE = sorted(((k, r) for k in range(2, 13) for r in range(1, 3) if _size(k, r) <= 13),
+                key=lambda kr: _size(*kr))
 
 
 def _trace(steps, deviations=()) -> bytes:
@@ -102,6 +106,12 @@ def families():
                 sched = sched[0]
             yield (k, r), _schedule(sched)
 
+    def oracle():
+        for k, r in ORACLE:
+            tree = CompleteKTree(k, r)
+            for vid in range(1, tree.n + 1):
+                yield (k, r, vid), _schedule(optimal_cost(tree, tree.vertex_by_id(vid))[1])
+
     yield "small-alg1", small(alg1)
     yield "small-alg2", small(alg2)
     yield "small-alg3", small(alg3)
@@ -110,6 +120,7 @@ def families():
     yield "root-alg2", root(alg2)
     yield "root-alg3", root(alg3)
     yield "root-lbckt", root(lbckt)
+    yield "oracle", oracle()
 
 
 def digest(items) -> tuple[str, int]:
