@@ -14,19 +14,9 @@ from .schedule import (
     ValidationReport,
     Violation,
     ViolationKind,
-    make_call,
     validate,
 )
-from .procedures import (
-    Fragment,
-    UpcallAssignment,
-    from_level,
-    merge_upcalls,
-    round_targets,
-    to_level,
-    upcall_assignments,
-    wave_offsets,
-)
+from .procedures import Fragment, from_level, merge_upcalls, to_level
 from .algorithms import DispatchCase, alg1, alg2, alg3, lbckt, lbckt_case
 from .oracle import BracketReport, check_bracket, optimal_cost
 from . import bounds, errors
@@ -41,16 +31,11 @@ __all__ = [
     "ValidationReport",
     "Violation",
     "ViolationKind",
-    "make_call",
     "validate",
     "Fragment",
-    "UpcallAssignment",
     "from_level",
     "merge_upcalls",
-    "round_targets",
     "to_level",
-    "upcall_assignments",
-    "wave_offsets",
     "DispatchCase",
     "alg1",
     "alg2",

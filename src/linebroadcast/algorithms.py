@@ -6,27 +6,29 @@ Three schemes cover the (k, r) plane:
     which every informed parent feeds a child (cost 1) while freshly informed
     children relay to siblings through their parent (cost 2).
   * alg2 first spreads to level r-1, folds the fan-up to the inner levels
-    into that phase's last step, then runs all leaf stars in parallel.
+    into that phase's last step, then runs all leaf stars in parallel:
+    alg1's last round, started with every inner vertex informed.
   * alg3 spreads to the leaves and folds the whole fan-up into the final
     spreading step.
 
+One writer, _star_rounds, places the star calls of both alg1 and alg2.
 The one- and two-edge calls that make up most of a schedule are written
 down in closed form rather than climbed for: a parent feeding its child
 crosses (child,), and a vertex relaying to its sibling crosses (caller,
-sibling). alg1 tests those edges against the step inline, and the leaf
-stars need no test at all. Only alg1's longer calls (the deep
-originator's assist, the stragglers, the closing call, the safety net)
-climb. Every builder writes its calls' ids and paths straight into
-array-backed steps (schedule.Step) and makes no Call or VertexRef.
+sibling), with those edges tested against the step inline. Only the
+longer calls (the deep originator's assist, the stragglers, the closing
+call, the safety net) climb. Every builder writes its calls' ids and
+paths straight into array-backed steps (schedule.Step) and makes no Call
+or VertexRef.
 
 Most of those calls fall in stars of one shape repeated across a level,
 and these are written a run of families at a time, one strided range per
-child place: alg1's rounds take every family that started the round
-with its parent informed and no child claimed and that no climbing call
-has touched since (the rest, and every overtime step, go call by call),
-and the leaf stars take every parent with no pre-informed leaf (a parent
-with one goes call by call, in its turn). Runs and single calls land in
-the order the call-by-call rule gives them.
+child place: a round takes every family that started the round with its
+parent informed and no child claimed and that no climbing call has
+touched since (the rest, and every overtime step, go call by call). In
+alg2's leaf round that is every parent with no pre-informed leaf. Runs
+and single calls land in the order the call-by-call rule gives them: a
+step lists its feeds, then its relays, each family by family.
 
 lbckt picks per (k, r) the cheapest scheme that still meets the global
 ceil(log2 n) step budget; the two guard comparisons use integer arithmetic
@@ -35,7 +37,6 @@ only.
 
 from __future__ import annotations
 
-from bisect import insort
 from itertools import compress
 
 from .bounds import DispatchCase, ceil_log2, lbckt_case
@@ -50,20 +51,49 @@ from .procedures import merge_upcalls, to_level
 
 def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
     k, r = tree.k, tree.r
+    sched = Schedule(tree, u, "alg1")
+    informed = bytearray(tree.n + 1)
+    informed[u.id] = 1
+    # a deep originator opens by relaying to the root, unless k is a power of
+    # two (then the root is picked up by the closing call instead)
+    if u.level >= 2 and k & (k - 1):
+        step = Step(tree)
+        step.add(u.id, 1, tree.climb(u.id, 1))
+        sched.append_step(step)
+        informed[1] = 1
+        sched.deviations.append(f"alg1:originator-relay-cost={step.cost()}")
+    for step in _star_rounds(tree, u, informed, len(sched.steps)):
+        sched.append_step(step)
+    overrun = sched.total_time() - r * ceil_log2(k + 1)
+    if overrun > 0:
+        sched.deviations.append(f"alg1:time-over-rounds=+{overrun}")
+    return sched
+
+
+def _star_rounds(tree: CompleteKTree, u: VertexRef, informed: bytearray,
+                 t: int) -> list[Step]:
+    """alg1's rounds from the state after step t: the steps that inform
+    every vertex whose flag in informed (indexed by id) is 0. informed is
+    updated as they go, and ends with every flag set.
+
+    Step s belongs to round min(r, ceil(s / lambda)), whose families are
+    the inner vertices one level above it; past r rounds, every parent with
+    an uninformed child takes part. A step lists the deep originator's
+    assist and the stragglers above its round, then the feeds and the
+    relays, then the closing call once only the root is missing.
+    """
+    k, r = tree.k, tree.r
     n = tree.n
     lam = ceil_log2(k + 1)
-    power_of_two = (k & (k - 1)) == 0
     climb = tree.climb
-    sched = Schedule(tree, u, "alg1")
 
     # the loops below work on breadth-first ids: the parent of v is
     # (v-2)//k+1, its children are k(v-1)+2 .. kv+1, and base[j] + offset is
-    # the id of the vertex (j, offset)
+    # the id of the vertex (j, offset). informed holds the state before the
+    # current step
     base = [tree.vertex_id(j, 1) - 1 for j in range(r + 1)]
-    informed = bytearray(n + 1)   # informed before the current step
-    claimed = bytearray(n + 1)    # informed, or called in the current step
-    informed[u.id] = claimed[u.id] = 1
-    informed_count = 1
+    claimed = bytearray(informed)  # informed, or called in the current step
+    informed_count = informed.count(1)
 
     # per inner vertex p, its first child that may still be unclaimed: a
     # vertex once claimed stays claimed, so the cursor only moves forward
@@ -83,17 +113,7 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
         return list(compress(range(lo, hi), informed[lo:hi]))
 
     steps: list[Step] = []
-
-    # a deep originator opens by relaying to the root, unless k is a power of
-    # two (then the root is picked up by the closing call instead)
     deep = u.level >= 2
-    if deep and not power_of_two:
-        step = Step(tree)
-        step.add(u.id, 1, climb(u.id, 1))
-        steps.append(step)
-        informed[1] = claimed[1] = 1
-        informed_count += 1
-        sched.deviations.append(f"alg1:originator-relay-cost={step.cost()}")
     # the originator's level-1 ancestor (the level-1 ids are 2 .. k + 1),
     # which only a deep originator's assist reads
     u_anc = u.id
@@ -113,7 +133,6 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
     round_level = 0
     dirty: set[int] = set()
     phase = 0
-    t = len(steps)
     hard_stop = 4 * r * lam + 64
 
     while informed_count < n:
@@ -298,124 +317,36 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
         informed[:] = claimed
         informed_count += len(step)
         steps.append(step)
-
-    for step in steps:
-        sched.append_step(step)
-    overrun = sched.total_time() - r * lam
-    if overrun > 0:
-        sched.deviations.append(f"alg1:time-over-rounds=+{overrun}")
-    return sched
+    return steps
 
 
 # ---------------------------------------------------------------------------
 # alg2: spread to level r-1, fan up, fill the leaf stars
 # ---------------------------------------------------------------------------
 
-def _add_star_run(step: Step, k: int, lo: int, hi: int, m: int, calls: int) -> None:
-    """Record the stars of the parents lo..hi-1, each with exactly its
-    first m children informed, parent by parent: the parent calls child m
-    along (child m,), then child i relays to child m + 1 + i along (child
-    i, child m + 1 + i), for i < calls - 1. One strided range per child
-    place fills each of the step's arrays."""
-    count = hi - lo
-    first, stop = k * lo - k + 2, k * hi - k + 2  # child 0 of lo, of hi
-    width = 2 * calls - 1  # edges per star
-    at = len(step.edges)
-    src = [0] * (count * calls)
-    dst = [0] * (count * calls)
-    ends = [0] * (count * calls)
-    edges = [0] * (count * width)
-    src[0::calls] = range(lo, hi)
-    for i in range(calls):
-        dst[i::calls] = edges[2 * i::width] = range(first + m + i, stop, k)
-        ends[i::calls] = range(at + 2 * i + 1, at + count * width + 1, width)
-        if i:
-            src[i::calls] = edges[2 * i - 1::width] = range(first + i - 1, stop, k)
-    step.src.fromlist(src)
-    step.dst.fromlist(dst)
-    step.ends.fromlist(ends)
-    step.edges.fromlist(edges)
-
-
-def _leaf_star_steps(tree: CompleteKTree, pre_informed: set[int]) -> list[Step]:
-    """Parallel stars: every level-(r-1) vertex feeds its k leaf children.
-
-    In each step a parent calls its first uninformed child, and its
-    informed children, in order, relay through it to the uninformed ones
-    after that. A parent with no pre-informed leaf has exactly its first m
-    children informed, the same m for every such parent, so a run of them
-    between two parents with a pre-informed leaf is written a step at a
-    time by _add_star_run; those parents keep the call-by-call rule, in
-    their turn.
-    """
-    k, r = tree.k, tree.r
-    first_parent = tree.vertex_id(r - 1, 1)
-    end_parent = first_parent + k ** (r - 1)
-    # the informed leaf ids under each parent with a pre-informed leaf,
-    # sorted. The children of p are k(p-1)+2 .. k(p-1)+k+1
-    informed_children: dict[int, list[int]] = {}
-    for lid in sorted(pre_informed):
-        informed_children.setdefault((lid - 2) // k + 1, []).append(lid)
-    informed: set[int] = set(pre_informed)
-    cuts = sorted(informed_children) + [end_parent]
-    m = 0  # the informed children of every other parent
-    remaining = k**r - len(pre_informed)
-
-    steps: list[Step] = []
-    while remaining > 0:
-        step = Step(tree)
-        calls = min(m + 1, k - m)
-        fresh: list[int] = []  # leaves called call by call
-        lo = first_parent
-        for p in cuts:
-            if lo < p and calls:
-                _add_star_run(step, k, lo, p, m, calls)
-            lo = p + 1
-            if p == end_parent:
-                break
-            first = k * (p - 1) + 2
-            targets = [cid for cid in range(first, first + k) if cid not in informed]
-            if not targets:
-                continue
-            # the parent's call is the first target's edge; each informed
-            # leaf relays through the parent, its own edge then the target's
-            cid = targets[0]
-            step.add(p, cid, (cid,))
-            fresh.append(cid)
-            for sid, cid in zip(informed_children[p], targets[1:]):
-                step.add(sid, cid, (sid, cid))
-                fresh.append(cid)
-        for lid in fresh:
-            informed.add(lid)
-            insort(informed_children[(lid - 2) // k + 1], lid)
-        m += calls
-        remaining -= len(step)
-        steps.append(step)
-    return steps
-
-
 def alg2(tree: CompleteKTree, u: VertexRef) -> Schedule:
     k, r = tree.k, tree.r
     sched = Schedule(tree, u, "alg2")
-    pre = {u.id} if u.level == r else set()
     if r == 1:
         # degenerate inner phase: the root is the only inner vertex
         if u.id != 1:
             step = Step(tree)
             step.add(u.id, 1, tree.climb(u.id, 1))
             sched.append_step(step)
-        for step in _leaf_star_steps(tree, pre):
+    else:
+        spread = to_level(tree, r - 1, u)
+        merged, deferred = merge_upcalls(tree, r - 1, u, spread.steps)
+        for step in merged:
             sched.append_step(step)
-        return sched
-
-    spread = to_level(tree, r - 1, u)
-    merged, deferred = merge_upcalls(tree, r - 1, u, spread.steps)
-    for step in merged:
-        sched.append_step(step)
-    if len(deferred):
-        sched.append_step(deferred)
-        sched.deviations.append("alg2:fromlevel-deferred-step")
-    for step in _leaf_star_steps(tree, pre):
+        if len(deferred):
+            sched.append_step(deferred)
+            sched.deviations.append("alg2:fromlevel-deferred-step")
+    # the leaf stars are alg1's last round, with every inner vertex informed
+    first_leaf = tree.vertex_id(r, 1)
+    informed = bytearray(tree.n + 1)
+    informed[1:first_leaf] = bytes([1]) * (first_leaf - 1)
+    informed[u.id] = 1
+    for step in _star_rounds(tree, u, informed, (r - 1) * ceil_log2(k + 1)):
         sched.append_step(step)
     return sched
 

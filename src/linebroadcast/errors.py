@@ -17,14 +17,6 @@ class OutOfRange(LineBroadcastError):
     """An index (level, offset, id, round, ...) is outside its valid range."""
 
 
-class RootHasNoParent(LineBroadcastError):
-    pass
-
-
-class LeafHasNoChildren(LineBroadcastError):
-    pass
-
-
 class SameVertex(LineBroadcastError):
     """A path between a vertex and itself was requested."""
 

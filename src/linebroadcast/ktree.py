@@ -1,9 +1,9 @@
 """Arithmetic model of a complete k-ary tree with breadth-first vertex ids.
 
-No adjacency is stored: every structural query (parent, children, ancestor)
-is pure index arithmetic on (level, offset) pairs, and climb walks
-breadth-first ids, so a tree with tens of thousands of vertices costs a few
-integers. Vertices are numbered 1..n in breadth-first order with the root at
+No adjacency is stored: vertex_id and locate map (level, offset) pairs to
+ids and back by index arithmetic, and climb walks breadth-first ids (the
+parent of v is (v - 2) // k + 1), so a tree with tens of thousands of
+vertices costs a few integers. Vertices are numbered 1..n in breadth-first order with the root at
 id 1; offsets are 1-based inside each level. An edge is canonically
 identified by the id of its deeper endpoint, which makes a path a plain list
 of ints and per-step edge-disjointness a set intersection.
@@ -30,10 +30,8 @@ from typing import NamedTuple
 
 from .errors import (
     InvalidParams,
-    LeafHasNoChildren,
     OutOfRange,
     Overflow,
-    RootHasNoParent,
     SameVertex,
 )
 
@@ -113,25 +111,6 @@ class CompleteKTree:
         return VertexRef(0, 1, 1)
 
     # -- structure ---------------------------------------------------------
-
-    def parent(self, v: VertexRef) -> VertexRef:
-        if v.level == 0:
-            raise RootHasNoParent("the root has no parent")
-        return self.vertex(v.level - 1, (v.offset + self.k - 1) // self.k)
-
-    def children(self, v: VertexRef) -> list[VertexRef]:
-        if v.level >= self.r:
-            raise LeafHasNoChildren(f"{v} is a leaf")
-        first = (v.offset - 1) * self.k + 1
-        return [self.vertex(v.level + 1, first + s) for s in range(self.k)]
-
-    def ancestor_at_level(self, v: VertexRef, target_level: int) -> VertexRef:
-        if not 0 <= target_level <= v.level:
-            raise OutOfRange(f"target level {target_level} not in [0, {v.level}]")
-        if target_level == v.level:
-            return v
-        span = self.k ** (v.level - target_level)
-        return self.vertex(target_level, (v.offset - 1) // span + 1)
 
     def path(self, a: VertexRef, b: VertexRef) -> list[int]:
         """Edges of the unique simple path a -> b, as child ids in travel order."""

@@ -95,21 +95,6 @@ def _nearest_first(pool: list[int], q: int, lo: int = 0, hi: int | None = None):
 # anchor grids over the offsets of level j
 # ---------------------------------------------------------------------------
 
-def wave_offsets(k: int, j: int, m: int) -> set[int]:
-    """Offsets of level j informed once round m completes: stride k**(j-m)."""
-    if k < 2 or j < 1 or not 1 <= m <= j:
-        raise OutOfRange(f"need k >= 2, 1 <= m <= j, got k={k}, j={j}, m={m}")
-    stride = k ** (j - m)
-    return {1 + i * stride for i in range(k**m)}
-
-
-def round_targets(k: int, j: int, m: int) -> set[int]:
-    """Offsets newly informed in round m (round-1 targets are the whole grid)."""
-    if m == 1:
-        return wave_offsets(k, j, 1)
-    return wave_offsets(k, j, m) - wave_offsets(k, j, m - 1)
-
-
 def _digit_reversed(k: int, count: int) -> list[int]:
     """0..count-1 (count a power of k) ordered by reversed base-k digits."""
     # with one digit more, w = d * k**p + w' reverses to rev(w') * k + d
@@ -447,20 +432,15 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
 # from_level
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UpcallAssignment:
-    """One fan-up call: a level-j source and its ancestor target."""
-
-    i: int            # levels climbed
-    t: int            # target offset within level j - i
-    leaf_offset: int  # designated source offset within level j
-    target_level: int
-    target_offset: int
-
-
 def _upcall_rows(k: int, j: int) -> list[tuple[int, int, int, int]]:
-    """(i, t, leaf offset, target id) per fan-up call above level j, in
-    upcall_assignments' order, built a distance at a time from ranges:
+    """(i, t, leaf offset, target id) per fan-up call above level j: the
+    designated level-j source of the target at offset t of level j - i,
+    i ascending, then t.
+
+    The source grid for distance i starts at offset 1 + (k**(i-1) - 1)/(k-1)
+    and advances by k**i, which keeps all source offsets distinct and the
+    upward paths pairwise edge-disjoint; the distance-j row is the single
+    call to the root. The rows are built a distance at a time from ranges:
     the level-(j-i) ids follow the (k**(j-i) - 1)/(k - 1) ids above them."""
     rows: list[tuple[int, int, int, int]] = []
     for i in range(1, j + 1):
@@ -472,19 +452,6 @@ def _upcall_rows(k: int, j: int) -> list[tuple[int, int, int, int]]:
                     range(first, first + count * stride, stride),
                     range(above + 1, above + count + 1))
     return rows
-
-
-def upcall_assignments(k: int, j: int) -> list[UpcallAssignment]:
-    """The designated fan-up sources for every target above level j.
-
-    The source grid for distance i starts at offset 1 + (k**(i-1) - 1)/(k-1)
-    and advances by k**i, which keeps all source offsets distinct and the
-    upward paths pairwise edge-disjoint. The distance-j entry is the single
-    call to the root.
-    """
-    if k < 2 or j < 1:
-        raise OutOfRange(f"need k >= 2 and j >= 1, got k={k}, j={j}")
-    return [UpcallAssignment(i, t, leaf, j - i, t) for i, t, leaf, _ in _upcall_rows(k, j)]
 
 
 def from_level(

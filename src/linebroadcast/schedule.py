@@ -46,7 +46,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import OutOfRange
 from .ktree import CompleteKTree, VertexRef
 
 
@@ -63,10 +62,6 @@ class Call(NamedTuple):
 
     def __str__(self):
         return f"{self.src.id}->{self.dst.id}"
-
-
-def make_call(tree: CompleteKTree, src: VertexRef, dst: VertexRef) -> Call:
-    return Call(src, dst, tuple(tree.path(src, dst)))
 
 
 class Step:
@@ -228,15 +223,6 @@ class Schedule:
     def total_time(self) -> int:
         """Number of non-empty steps."""
         return sum(1 for s in self.steps if len(s))
-
-    def informed_after(self, t: int) -> set[int]:
-        """Ids informed once steps 1..t have run (t = 0 gives the originator)."""
-        if not 0 <= t <= len(self.steps):
-            raise OutOfRange(f"t={t} not in [0, {len(self.steps)}]")
-        informed = {self.originator.id}
-        for s in self.steps[:t]:
-            informed.update(s.dst)
-        return informed
 
 
 def _off_path(tree: CompleteKTree, src: list[int], dst: list[int],

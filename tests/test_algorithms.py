@@ -19,7 +19,7 @@ from linebroadcast.bounds import (
     ceil_log2,
     tree_size,
 )
-from linebroadcast.algorithms import _leaf_star_steps
+from linebroadcast.algorithms import _star_rounds
 from linebroadcast.procedures import to_level
 
 
@@ -137,40 +137,50 @@ def _leaf_stars_call_by_call(tree, pre_informed):
     """The leaf stars by their per-call rule: in each step every level-(r-1)
     parent, in id order, calls its first uninformed child along that
     child's edge, and then its informed children, ascending, relay through
-    it to the uninformed ones after that, one each."""
+    it to the uninformed ones after that, one each. A step lists all its
+    parents' feeds, then all their relays."""
     k, r = tree.k, tree.r
     first_parent = tree.vertex_id(r - 1, 1)
     informed = set(pre_informed)
     steps = []
     while len(informed) < k**r:
-        calls = []
+        feeds, relays = [], []
         for p in range(first_parent, first_parent + k ** (r - 1)):
             children = range(k * (p - 1) + 2, k * p + 2)
             targets = [c for c in children if c not in informed]
             if targets:
-                calls.append((p, targets[0], [targets[0]]))
+                feeds.append((p, targets[0], [targets[0]]))
                 have = [c for c in children if c in informed]
-                calls += [(s, c, [s, c]) for s, c in zip(have, targets[1:])]
-        informed.update(d for _, d, _ in calls)
-        steps.append(calls)
+                relays += [(s, c, [s, c]) for s, c in zip(have, targets[1:])]
+        informed.update(d for _, d, _ in feeds + relays)
+        steps.append(feeds + relays)
     return steps
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_leaf_stars_match_the_call_by_call_rule(k):
-    """The run-wise leaf stars place the same calls, in the same order, as
+    """alg1's last round, started as alg2 starts its leaf stars (every
+    inner vertex informed), places the same calls, in the same order, as
     the per-call rule: with no leaf pre-informed, with each single leaf,
     and with three seeded sets of several leaves."""
+    lam = ceil_log2(k + 1)
     for r in range(1, 4):
         t = new(k, r)
+        first_leaf = t.vertex_id(r, 1)
         leaves = [v.id for v in t.level_vertices(r)]
         rng = random.Random(100 * k + r)
         pre_sets = [set()] + [{lid} for lid in leaves] + [
             set(rng.sample(leaves, min(size, len(leaves))))
             for size in (2, len(leaves) // 2, len(leaves) - 1)]
         for pre in pre_sets:
-            got = [list(step.id_calls()) for step in _leaf_star_steps(t, pre)]
+            informed = bytearray(t.n + 1)
+            informed[1:first_leaf] = bytes([1]) * (first_leaf - 1)
+            for lid in pre:
+                informed[lid] = 1
+            steps = _star_rounds(t, t.root, informed, (r - 1) * lam)
+            got = [list(step.id_calls()) for step in steps]
             assert got == _leaf_stars_call_by_call(t, pre), (k, r, sorted(pre))
+            assert informed == bytes([0]) + bytes([1]) * t.n
 
 
 def test_alg3_fixtures():
@@ -218,7 +228,7 @@ SLOW_FOLDS = [
     ("alg3", 3, 4, 1, 284, 7,
      "d79aa1782e1e0b5a6e1b926732d8b8e2819a7e66bd0ec7257f3b40a569af10f5"),
     ("alg2", 3, 5, 1, 608, 9,
-     "8762ed81bc375ed6b541e37f517b0570f188a3165cfce049e78eda1aba6d52fc"),
+     "c73ed78d5272656ca79c6fac8c9a7b015bb1437b80cbe6b3b683aa3309def94c"),
     ("alg3", 6, 3, 1, 614, 9,
      "a9e6b7bcc47c7cbdab71b322f020e79feda8c6250fce7d70660ab9fb949b14c2"),
     ("alg3", 2, 5, 47, 191, 7,
@@ -234,9 +244,9 @@ SLOW_FOLDS = [
     ("alg3", 5, 3, 1, 378, 8,
      "b501a77fa5934f6b338097a59a4fedce47ee058c2106802be5132cb6f288b7e9"),
     ("alg2", 6, 3, 151, 421, 9,
-     "9cf13cc1674c5309ee38045d3270d503d0d6ef3fd02e3284f8dea12860ac95da"),
+     "b697b3874b4ffa3994ad266b23f4ff597f2e6d42929e6535f986020680ed117b"),
     ("alg2", 3, 3, 10, 63, 6,
-     "8f23fb268f741c5f2a6a887cb4978560a693d22cd44efdc3011943555bbaad81"),
+     "c3d343f52ee602cd3677fb6b0fc8716046d9f10c86ab1269d529a44eb63666bb"),
 ]
 
 
@@ -274,9 +284,9 @@ BUILDER_PINS = [
     ("alg1", 7, 5, 1, 30811, 15,
      "eef43f68435c79a06f7dd585aa733dc468e0062060561f0f944f3b4d0d69e5bb"),
     ("alg2", 6, 5, 1, 15388, 14,
-     "c2c8784eb11bcd54a133926325e01222f7e5706991e22d7da6e4e3209212d201"),
+     "7a01ed52e1ce3016e07517a94b554e47e2d1091cd456cdcb06c5326848f8728e"),
     ("alg2", 6, 5, 5443, 15300, 15,
-     "36ac715763e5bb0d7bc0c8fdafb88c1eb9a394f341c4a6112a45c0db448fab3e"),
+     "6eb6f6aa327fe08fbd079c359d1cf858eb1e4b57963c7f45ed266f77d0820fb9"),
 ]
 
 
@@ -298,18 +308,37 @@ def test_builder_schedules_unchanged(name, k, r, uid, cost, steps, digest):
 DIGEST_TOOL = Path(__file__).resolve().parent.parent / "tools" / "schedule_digest.py"
 
 
-def _family_digest(name):
-    """One family's (digest, count), computed as tools/schedule_digest.py does."""
+def _sorted_trace(steps, deviations=()):
+    """schedule_digest's trace with each step's calls sorted."""
+    calls = [sorted([s, d, path] for s, d, path in step.id_calls()) for step in steps]
+    return json.dumps([calls, list(deviations)]).encode()
+
+
+def _family_digest(name, order_free=False):
+    """One family's (digest, count), computed as tools/schedule_digest.py
+    does, or with each step's calls sorted when order_free is set."""
     spec = importlib.util.spec_from_file_location("schedule_digest", DIGEST_TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    if order_free:
+        tool._trace = _sorted_trace
     return tool.digest(dict(tool.families())[name])
 
 
 def test_large_trees_family_unchanged():
     """The 37 lbckt schedules of perfbench's large-trees workload."""
     assert _family_digest("large-trees") == (
-        "b38e35f1cb4915fed8eaaa15417fa91ec03b7b6f3dc88071e34457a3b32b8c37", 37)
+        "9efa63cb3a86c81a73cfa4fa7534c175a18996b849075f1e93a7d8e7836fe8ed", 37)
+
+
+def test_alg2_families_hold_the_same_calls_per_step():
+    """alg2 from the root at the 35 grid points and the 37 large-trees
+    schedules, with each step's calls sorted: the calls each step holds,
+    whatever their order within the step."""
+    assert _family_digest("root-alg2", order_free=True) == (
+        "b5329eb5751c9f5f1e789fe7dbaeaf671ba7756169803c5d406e71aa77e609ec", 35)
+    assert _family_digest("large-trees", order_free=True) == (
+        "4ed5803543f80247d5fbbee30705013ffff73c253abd2fdb1445aec11e142a04", 37)
 
 
 def test_small_alg1_family_unchanged():
@@ -336,10 +365,23 @@ def test_schedule_digest_rejects_unknown_family():
     assert "no-such-family" in result.stderr
 
 
+LAYER_TOOL = Path(__file__).resolve().parent.parent / "tools" / "layer_times.py"
+
+
+def test_layer_times_traces_every_layer():
+    """tools/layer_times.py wraps its layers by name, so it fails on a
+    layer that is renamed or gone."""
+    result = subprocess.run(
+        [sys.executable, str(LAYER_TOOL), "--workload", "oracle", "--passes", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "_star_rounds" in result.stdout
+
+
 def test_root_lbckt_family_unchanged():
     """lbckt from the root at the 35 points of the acceptance grid."""
     assert _family_digest("root-lbckt") == (
-        "c6e68faa0b52500824e556cf9122e4ab279c94d1bd3b4262fcad35aa4ad3b856", 35)
+        "9b8d08cf850d8da8eab71c306afbe9b615bafd820abff21a8398268261649590", 35)
 
 
 def test_oracle_family_unchanged():
@@ -380,9 +422,11 @@ def test_doubling_cap_on_valid_schedules():
     for k, r in [(2, 2), (3, 2), (4, 2)]:
         t = new(k, r)
         s, _ = lbckt(t, t.root)
-        assert validate(s, time_budget=ceil_log2(t.n)).ok
-        for step in range(len(s.steps) + 1):
-            assert len(s.informed_after(step)) <= 2**step
+        rep = validate(s, time_budget=ceil_log2(t.n))
+        assert rep.ok
+        assert [step for step, _ in rep.informed_timeline] == list(range(1, len(s.steps) + 1))
+        for step, informed in rep.informed_timeline:
+            assert informed <= 2**step
 
 
 def test_total_cost_floor():

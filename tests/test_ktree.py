@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 from linebroadcast import CompleteKTree, VertexRef, new
 from linebroadcast.errors import (
     InvalidParams,
-    LeafHasNoChildren,
     OutOfRange,
     Overflow,
-    RootHasNoParent,
     SameVertex,
 )
 
@@ -68,36 +66,6 @@ def test_locate():
                 assert t.locate(v.id) == (v.level, v.offset)
                 ids.append(v.id)
         assert ids == list(range(1, t.n + 1))
-
-
-def test_parent():
-    t2 = new(2, 2)
-    assert t2.parent(t2.vertex_by_id(6)).id == 3
-    t3 = new(3, 2)
-    assert t3.parent(t3.vertex_by_id(4)).id == 1
-    with pytest.raises(RootHasNoParent):
-        t2.parent(t2.root)
-
-
-def test_children():
-    t3 = new(3, 2)
-    assert [v.id for v in t3.children(t3.root)] == [2, 3, 4]
-    t2 = new(2, 2)
-    assert [v.id for v in t2.children(t2.vertex_by_id(2))] == [4, 5]
-    with pytest.raises(LeafHasNoChildren):
-        t2.children(t2.vertex_by_id(4))
-
-
-def test_ancestor_at_level():
-    t2 = new(2, 2)
-    v7 = t2.vertex_by_id(7)
-    assert t2.ancestor_at_level(v7, 0).id == 1
-    assert t2.ancestor_at_level(v7, 1).id == 3
-    assert t2.ancestor_at_level(v7, 2).id == 7
-    t3 = new(3, 2)
-    assert t3.ancestor_at_level(t3.vertex_by_id(5), 1).id == 2
-    with pytest.raises(OutOfRange):
-        t3.ancestor_at_level(t3.vertex_by_id(5), 3)
 
 
 def test_path_examples():
@@ -170,16 +138,25 @@ def test_roundtrip_bijection(params, data):
     assert 1 <= vid <= t.n
 
 
+def parent(t, v):
+    """The parent of v by (level, offset) arithmetic."""
+    return t.vertex(v.level - 1, (v.offset + t.k - 1) // t.k)
+
+
 @settings(max_examples=60, deadline=None)
 @given(tree_params, st.data())
 def test_parent_child_consistency(params, data):
+    # the (level, offset) parent and children agree with the ids: the path
+    # from a vertex to its parent is the vertex's own edge
     k, r = params
     t = CompleteKTree(k, r)
     vid = data.draw(st.integers(2, t.n))
     v = t.vertex_by_id(vid)
-    p = t.parent(v)
+    p = parent(t, v)
     assert p.level == v.level - 1
-    assert v.id in [c.id for c in t.children(p)]
+    assert t.path(v, p) == [v.id]
+    first = (p.offset - 1) * k + 1
+    assert v.id in [t.vertex_id(p.level + 1, first + s) for s in range(k)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,20 +171,20 @@ def test_path_symmetry_and_length(params, data):
     fwd = t.path(a, b)
     rev = t.path(b, a)
     assert fwd == rev[::-1]
-    # reference: walk both ends up with parent() to the lowest common
+    # reference: walk both ends up with parent to the lowest common
     # ancestor, collecting the edges on the way
     up, down = [], []
     x, y = a, b
     while x.level > y.level:
         up.append(x.id)
-        x = t.parent(x)
+        x = parent(t, x)
     while y.level > x.level:
         down.append(y.id)
-        y = t.parent(y)
+        y = parent(t, y)
     while x.id != y.id:
         up.append(x.id)
         down.append(y.id)
-        x, y = t.parent(x), t.parent(y)
+        x, y = parent(t, x), parent(t, y)
     assert fwd == up + down[::-1]
     # length equals level(a) + level(b) - 2 * level(lca)
     assert len(fwd) == a.level + b.level - 2 * x.level

@@ -4,17 +4,7 @@ import math
 
 import pytest
 
-from linebroadcast import (
-    Schedule,
-    from_level,
-    merge_upcalls,
-    new,
-    round_targets,
-    to_level,
-    upcall_assignments,
-    validate,
-    wave_offsets,
-)
+from linebroadcast import Schedule, from_level, merge_upcalls, new, to_level, validate
 from linebroadcast.bounds import ceil_log2, fromlevel_cost, tolevel_upper
 from linebroadcast.errors import OutOfRange, PreconditionViolated
 from linebroadcast.procedures import _cbj_assign, _digit_reversed, _upcall_rows
@@ -32,13 +22,26 @@ def level_ids(tree, j):
 
 
 # -- anchor grids ------------------------------------------------------------
+# to_level's rounds by their definition: round m informs the offsets of
+# level j on the grid of stride k**(j-m) that the coarser grids leave out
+
+def wave_offsets(k, j, m):
+    """Offsets of level j informed once round m completes."""
+    stride = k ** (j - m)
+    return {1 + i * stride for i in range(k**m)}
+
+
+def round_targets(k, j, m):
+    """Offsets newly informed in round m (round-1 targets are the whole grid)."""
+    if m == 1:
+        return wave_offsets(k, j, 1)
+    return wave_offsets(k, j, m) - wave_offsets(k, j, m - 1)
+
 
 def test_wave_offsets_values():
     assert wave_offsets(3, 2, 1) == {1, 4, 7}
     assert wave_offsets(2, 2, 1) == {1, 3}
     assert wave_offsets(2, 2, 2) == {1, 2, 3, 4}
-    with pytest.raises(OutOfRange):
-        wave_offsets(2, 2, 3)
 
 
 def test_round_targets_values():
@@ -168,43 +171,41 @@ def test_to_level_counts_a_block_wider_than_a_byte(uid):
 # -- from_level --------------------------------------------------------------
 
 def test_upcall_assignments_fixtures():
-    plan = upcall_assignments(2, 2)
-    rows = [(a.i, a.t, a.leaf_offset, a.target_level, a.target_offset) for a in plan]
-    assert rows == [(1, 1, 1, 1, 1), (1, 2, 3, 1, 2), (2, 1, 2, 0, 1)]
+    assert _upcall_rows(2, 2) == [(1, 1, 1, 2), (1, 2, 3, 3), (2, 1, 2, 1)]
 
-    plan = upcall_assignments(3, 1)
-    assert [(a.i, a.t, a.leaf_offset) for a in plan] == [(1, 1, 1)]
+    assert [row[:3] for row in _upcall_rows(3, 1)] == [(1, 1, 1)]
 
-    plan = upcall_assignments(3, 2)
-    i1 = [a.leaf_offset for a in plan if a.i == 1]
-    i2 = [a.leaf_offset for a in plan if a.i == 2]
+    rows = _upcall_rows(3, 2)
+    i1 = [leaf for i, _, leaf, _ in rows if i == 1]
+    i2 = [leaf for i, _, leaf, _ in rows if i == 2]
     assert i1 == [1, 4, 7] and i2 == [2]
 
 
 def test_upcall_assignments_distinct():
     for k in range(2, 9):
         for j in range(1, 5):
-            plan = upcall_assignments(k, j)
-            offs = [a.leaf_offset for a in plan]
-            tgts = [(a.target_level, a.target_offset) for a in plan]
+            rows = _upcall_rows(k, j)
+            offs = [leaf for _, _, leaf, _ in rows]
+            tgts = [tid for _, _, _, tid in rows]
             assert len(set(offs)) == len(offs)
             assert len(set(tgts)) == len(tgts)
-            for a in plan:
-                anc = (a.leaf_offset - 1) // k**a.i + 1
-                assert anc == a.target_offset
+            for i, t, leaf, _ in rows:
+                anc = (leaf - 1) // k**i + 1
+                assert anc == t
 
 
 def test_upcall_rows_name_each_target_by_its_id():
-    """The fan-up table's rows carry each target's id in closed form, the
-    id vertex_id gives its (level, offset)."""
+    """The fan-up table has one row per target above level j, distances
+    ascending, then offsets, and carries each target's id in closed form,
+    the id vertex_id gives its (level, offset)."""
     for k in range(2, 9):
         for j in range(1, 5):
             t = new(k, j)
-            plan = upcall_assignments(k, j)
             rows = _upcall_rows(k, j)
-            assert [row[:3] for row in rows] == [(a.i, a.t, a.leaf_offset) for a in plan]
+            assert [row[:2] for row in rows] == [
+                (i, off) for i in range(1, j + 1) for off in range(1, k ** (j - i) + 1)]
             assert [row[3] for row in rows] == [
-                t.vertex_id(a.target_level, a.target_offset) for a in plan]
+                t.vertex_id(j - i, off) for i, off, _, _ in rows]
 
 
 def test_from_level_exact_costs():
@@ -272,7 +273,7 @@ def test_merge_upcalls_defers_when_budget_allows():
     assert len(steps) == frag.duration()
     total = sum(len(s) for s in steps) + len(deferred)
     assert total == sum(len(s) for s in frag.steps) + len(
-        [a for a in upcall_assignments(5, 3) if (a.target_level, a.target_offset) != (0, 1)]
+        [row for row in _upcall_rows(5, 3) if row[3] != 1]
     )
 
 

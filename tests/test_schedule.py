@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linebroadcast import (Call, Schedule, Step, ViolationKind, alg1, alg2, alg3,
-                           lbckt, make_call, new, validate)
-from linebroadcast.errors import OutOfRange
+                           lbckt, new, validate)
 
 
 def star3():
@@ -15,7 +14,7 @@ def star3():
 
 
 def call(tree, a, b):
-    return make_call(tree, tree.vertex_by_id(a), tree.vertex_by_id(b))
+    return Call(tree.vertex_by_id(a), tree.vertex_by_id(b), tuple(tree.climb(a, b)))
 
 
 def test_builder():
@@ -106,18 +105,6 @@ def test_total_cost_and_time():
     leaf.append_step([call(t, 1, 3)])
     assert leaf.total_cost() == 2
     assert validate(leaf).ok
-
-
-def test_informed_after():
-    t = star3()
-    s = Schedule(t, t.root, "demo")
-    s.append_step([call(t, 1, 2)])
-    s.append_step([call(t, 1, 3)])
-    assert s.informed_after(0) == {1}
-    assert s.informed_after(1) == {1, 2}
-    assert s.informed_after(2) == {1, 2, 3}
-    with pytest.raises(OutOfRange):
-        s.informed_after(3)
 
 
 def test_validator_is_pure():

@@ -8,10 +8,10 @@ the seed draws. The passes run back to back in this one process. Per
 layer the line gives the best and the median self time over the passes,
 in ms: the time spent inside that function, less the time spent in the
 traced functions it calls. The layers are the builders' phases,
-`to_level`, `merge_upcalls`, `alg1`, `alg2` (less its leaf stars),
-`_leaf_star_steps` and `alg3`, `validate`, and the exhaustive
-`optimal_cost` that the `oracle` workload runs; `lbckt` is traced so that
-its own time is not charged to a caller. The last line is the whole
+`to_level`, `merge_upcalls`, `alg1` and `alg2` (less their star rounds),
+`_star_rounds` (alg1's round loop and alg2's leaf stars) and `alg3`,
+`validate`, and the exhaustive `optimal_cost` that the `oracle` workload
+runs; `lbckt` is traced so that its own time is not charged to a caller. The last line is the whole
 pass, best and median.
 
 Nothing is checked here (perfbench checks the same operations), and the
@@ -35,13 +35,13 @@ import linebroadcast as lb  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
-LAYERS = ("to_level", "merge_upcalls", "alg1", "alg2", "_leaf_star_steps", "alg3",
+LAYERS = ("to_level", "merge_upcalls", "alg1", "alg2", "_star_rounds", "alg3",
           "validate", "optimal_cost")
 
 
 def install(tracer: tracing.Tracer) -> None:
     """Trace the layers under the module attributes their callers read."""
-    for name in ("to_level", "merge_upcalls", "_leaf_star_steps",
+    for name in ("to_level", "merge_upcalls", "_star_rounds",
                  "alg1", "alg2", "alg3", "lbckt"):
         tracer.wrap(lb.algorithms, name)
     tracer.wrap(lb.schedule, "validate")
