@@ -18,13 +18,15 @@ Two procedures are built here:
     dropped.
 
 merge_upcalls folds the from_level step into the last to_level step when the
-step budget requires it, substituting same-subtree sources (or the
-originator, or a detour) when the designated source is busy or too fresh,
-and trading calls with the previous step when the first solve leaves
-calls unplaced: a fan-up call moves up a step, and the level delivery it
-displaces moves down to a window sibling. One greedy loop tries one such
-pull per open fan-up call, highest target first, keeps the first whose
-re-solved fold ranks better, and starts over from it. Each pull is tried
+step budget requires it. Where from_level's own step fits the final
+step, its calls are appended as they are. Otherwise it searches,
+substituting same-subtree sources (or the originator, or a detour) when
+the designated source is busy or too fresh, and trading calls with the
+previous step when the first solve leaves calls unplaced: a fan-up call
+moves up a step, and the level delivery it displaces moves down to a
+window sibling. One greedy loop tries one such pull per open fan-up
+call, highest target first, keeps the first whose re-solved fold ranks
+better, and starts over from it. Each pull is tried
 on a fold state of its own, built from the kept one, so no trial depends
 on the trials before it. Whatever still cannot be placed is returned for a
 dedicated follow-up step. Each fan-up target's source options are produced
@@ -37,10 +39,12 @@ and no edge test can fail while they are placed first. Its delivery order
 is k stripes over the level's k-blocks, so most of a step's sibling
 relays come in runs of blocks with equal fills whose callers sit at one
 place of their blocks; a run is written with one comprehension. The
-wider relays and the originator's call test their edges while climbing
-ids (CompleteKTree.climb), and a call is recorded only for a placement
-that fits. The fan-up table is a list of (i, t, leaf offset, target id)
-rows built from ranges, with target ids in closed form.
+cousin relays, whose path is (caller, its parent, the target's parent,
+target), test and write their edges by arithmetic; the wider relays and
+the originator's call test theirs while climbing ids
+(CompleteKTree.climb). A call is recorded only for a placement that
+fits. The fan-up table holds, per distance, the designated sources, the
+targets and the upward paths as strided ranges, so no path is climbed.
 
 Steps are schedule.Step arrays throughout: each procedure writes its calls'
 ids and paths straight into them, merge_upcalls reads the given steps'
@@ -51,11 +55,11 @@ Call or VertexRef is made here.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import accumulate, groupby, islice, repeat
+from itertools import chain, groupby, islice, repeat
+from operator import itemgetter
 
 from .errors import OutOfRange, PreconditionViolated
 from .ktree import CompleteKTree, VertexRef
@@ -158,10 +162,12 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
     hold no prefix take the per-target rule.
 
     Every later placement checks edge-disjointness against the step so
-    far while it climbs. At the wider scales a caller outside the target's
-    next-deeper subtree meets it at their common level-lvl ancestor, so
-    the way down from that ancestor is climbed once per target and each
-    caller only climbs up to it.
+    far. A cousin match (lvl = j - 2) tests and writes its four edges,
+    caller, caller's parent, target's parent and target, by arithmetic;
+    a wider one tests while it climbs. At those scales a caller outside
+    the target's next-deeper subtree meets it at their common level-lvl
+    ancestor, so the way down from that ancestor is climbed once per
+    target and each caller only climbs up to it.
     """
     if not 1 <= j <= tree.r:
         raise OutOfRange(f"level {j} not in [1, {tree.r}]")
@@ -238,15 +244,31 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
             inner = span // k
             inner_lo = base + q_off - (q_off - 1) % inner
             inner_hi = inner_lo + inner - 1
+            qid = base + q_off
+            callers = _nearest_first(pool, qid, bisect_left(pool, lo_id),
+                                     bisect_left(pool, lo_id + span))
+            if lvl == j - 2:
+                # a cousin: the path is (caller, its parent, q's parent, q)
+                q_up = (qid - 2) // k + 1
+                if qid in used_edges or q_up in used_edges:
+                    return False
+                for sid in callers:
+                    if (inner_lo <= sid <= inner_hi or sid in used_sources
+                            or sid in used_edges):
+                        continue
+                    s_up = (sid - 2) // k + 1
+                    if s_up not in used_edges:
+                        add(sid, q_off, (sid, s_up, q_up, qid))
+                        return True
+                return False
             # every caller left meets q at their level-lvl ancestor, so all
             # their calls share its way down to q: climb that once, and
             # each caller only up to it
             top = level_base[lvl] + (q_off - 1) // span + 1
-            down = climb(top, base + q_off, used_edges)
+            down = climb(top, qid, used_edges)
             if down is None:
                 return False
-            for sid in _nearest_first(pool, base + q_off, bisect_left(pool, lo_id),
-                                      bisect_left(pool, lo_id + span)):
+            for sid in callers:
                 if inner_lo <= sid <= inner_hi:
                     continue  # tried at a tighter radius already
                 if sid in used_sources:
@@ -432,26 +454,35 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
 # from_level
 # ---------------------------------------------------------------------------
 
-def _upcall_rows(k: int, j: int) -> list[tuple[int, int, int, int]]:
-    """(i, t, leaf offset, target id) per fan-up call above level j: the
-    designated level-j source of the target at offset t of level j - i,
-    i ascending, then t.
+def _upcall_table(k: int, j: int) -> list[tuple[range, range, list[tuple[int, ...]]]]:
+    """from_level's designated calls a distance at a time: for i = 1..j,
+    the sources' leaf offsets, the target ids and the upward paths of the
+    calls to the targets at offsets t = 1..k**(j-i) of level j - i, t
+    ascending.
 
-    The source grid for distance i starts at offset 1 + (k**(i-1) - 1)/(k-1)
-    and advances by k**i, which keeps all source offsets distinct and the
-    upward paths pairwise edge-disjoint; the distance-j row is the single
-    call to the root. The rows are built a distance at a time from ranges:
-    the level-(j-i) ids follow the (k**(j-i) - 1)/(k - 1) ids above them."""
-    rows: list[tuple[int, int, int, int]] = []
+    With f = (k**(i-1) - 1)/(k - 1), the source grid for distance i starts
+    at offset f + 1 and advances by k**i, which keeps all source offsets
+    distinct and the upward paths pairwise edge-disjoint; the distance-j
+    call is the single call to the root. The level-(j-i) ids follow the
+    (k**(j-i) - 1)/(k - 1) ids above them. A path is the source's
+    ancestors' ids from level j up to level j - i + 1: the source of
+    target t has its level-(j - m) ancestor at offset
+    f // k**m + 1 + (t - 1) * k**(i - m), so at each level the ancestors
+    are one strided range, and so are the sources and the targets."""
+    level_base = [(k**m - 1) // (k - 1) for m in range(j + 1)]
+    table = []
     for i in range(1, j + 1):
-        first = 1 + (k ** (i - 1) - 1) // (k - 1)
-        stride = k**i
+        f = (k ** (i - 1) - 1) // (k - 1)
         count = k ** (j - i)
-        above = (count - 1) // (k - 1)
-        rows += zip(repeat(i), range(1, count + 1),
-                    range(first, first + count * stride, stride),
-                    range(above + 1, above + count + 1))
-    return rows
+        levels = []
+        for m in range(i):
+            first = level_base[j - m] + f // k**m + 1
+            stride = k ** (i - m)
+            levels.append(range(first, first + count * stride, stride))
+        table.append((range(f + 1, f + 1 + count * k**i, k**i),
+                      range(level_base[j - i] + 1, level_base[j - i] + count + 1),
+                      list(zip(*levels))))
+    return table
 
 
 def from_level(
@@ -476,9 +507,12 @@ def from_level(
                 f"{len(missing)} level-{j} vertices uninformed (first: {missing[:5]})"
             )
     step = Step(tree)
-    for _, _, leaf, tid in _upcall_rows(tree.k, j):
-        if tid != u.id:
-            step.add(base + leaf, tid, tree.climb(base + leaf, tid))
+    for i, (leaves, tids, paths) in enumerate(_upcall_table(tree.k, j), 1):
+        calls = list(zip(leaves, tids, paths))
+        if u.level == j - i:
+            del calls[u.offset - 1]  # no call to the originator
+        step.add_calls([base + leaf for leaf, _, _ in calls],
+                       [tid for _, tid, _ in calls], [path for _, _, path in calls])
     return Fragment([step])
 
 
@@ -599,7 +633,12 @@ def merge_upcalls(
     """Fold the fan-up step into the final step of a to_level run.
 
     Every fan-up source must have been informed before the final step and be
-    port- and edge-free within it. Sources come from the target's own
+    port- and edge-free within it. from_level's own step is tried first:
+    when each designated source qualifies, no designated path meets the
+    final step's edges and the previous step informs nothing above level j,
+    its calls are appended, scarcest target first, then by distance and
+    offset, which is the order and the choice the search would make.
+    Otherwise the search runs. Sources come from the target's own
     subtree when possible (matching the designated pattern's path length),
     with the originator and detour sources as fallbacks; the joint
     assignment is found by conflict-directed backjumping. When the first
@@ -627,29 +666,54 @@ def merge_upcalls(
     batch_busy = set(last.src)
     level_base = tree.vertex_id(j, 1) - 1
     top = level_base + k**j  # the level-j ids are level_base + 1 .. top
+    prev = steps[-2] if len(steps) >= 2 and hard else None
+
+    # idle[x]: the level-j offset x + 1 was informed before the final step
+    # and does not send in it
+    idle = bytearray(map(informed_before.__contains__, range(level_base + 1, top + 1)))
+    for sid in batch_busy:
+        if level_base < sid <= top:
+            idle[sid - level_base - 1] = 0
+
+    # each fan-up call as a row (idle offsets under its target, i, t, leaf
+    # offset, target id, designated path), scarcest first, then by i and
+    # t (the table's order, which the stable sort keeps), so flexible
+    # calls route around committed ones. The k targets of distance i - 1
+    # under a target of distance i hold all its idle offsets.
+    rows = []
+    idle_under = idle
+    for i, (leaves, tids, paths) in enumerate(_upcall_table(k, j), 1):
+        idle_under = list(map(sum, zip(*[idle_under[p::k] for p in range(k)])))
+        block = list(zip(idle_under, repeat(i), range(1, len(tids) + 1), leaves, tids, paths))
+        if u.level == j - i:
+            del block[u.offset - 1]  # no call to the originator
+        rows += block
+    rows.sort(key=itemgetter(0))
+
+    # from_level's own step fits when every designated source was informed
+    # before the final step and is idle in it, no designated path meets
+    # its edges, and the previous step informs nothing above level j that
+    # the search would offer first: then the search picks exactly these
+    # calls, and they go in as they are
+    sources = [level_base + row[3] for row in rows]
+    paths = [row[5] for row in rows]
+    if (informed_before.issuperset(sources) and batch_busy.isdisjoint(sources)
+            and set(last.edges).isdisjoint(chain.from_iterable(paths))
+            and (prev is None or not len(prev)
+                 or level_base < min(prev.dst) and max(prev.dst) <= top)):
+        final = last.copy()
+        final.add_calls(sources, [row[4] for row in rows], paths)
+        return steps[:-1] + [final], Step(tree)
 
     def subtree_span(i: int, t: int) -> tuple[int, int]:
         """The level-j offsets under the target t of distance i."""
         lo = (t - 1) * k**i + 1
         return lo, lo + k**i - 1
 
-    # the informed level-j offsets, sorted, and how many of them up to each
-    # offset the final step does not already send from
+    # the informed level-j offsets, sorted, and the open fan-up calls
     informed_offsets = sorted(vid - level_base for vid in informed_before
                               if level_base < vid <= top)
-    idle = bytearray(k**j + 1)
-    for off in informed_offsets:
-        if level_base + off not in batch_busy:
-            idle[off] = 1
-    idle_upto = array("q", accumulate(idle))
-
-    # each open fan-up call as a row (i, t, leaf offset, target id),
-    # scarcest first (the idle informed offsets under its target), so
-    # flexible calls route around committed ones
-    spans = [k**i for i in range(j + 1)]
-    assignments = [row[1:] for row in sorted(
-        (idle_upto[t * spans[i]] - idle_upto[(t - 1) * spans[i]], i, t, leaf, tid)
-        for i, t, leaf, tid in _upcall_rows(k, j) if tid != u.id)]
+    assignments = [row[1:5] for row in rows]
 
     def upcall_options(entry: tuple[int, int, int, int], skip_busy: set[int],
                        pool: list[int], raised: list[int]):
@@ -726,7 +790,6 @@ def merge_upcalls(
             picks[pos] = p
         return picks
 
-    prev = steps[-2] if len(steps) >= 2 and hard else None
     state = (prev, last, informed_before, informed_offsets, assignments)
     picks = solve_fixed_batch(*state)
 

@@ -19,8 +19,9 @@ source ids, their destination ids, the offset where each call's path ends
 in a flat edge buffer, and that buffer. A schedule of n vertices holds
 n - 1 calls, and this way it keeps no object per call. The builders append
 ids straight to a step (Step.add, or the same appends written out), and
-write a whole pass of one-edge calls to children or two-edge calls to
-siblings at once (Step.add_child_calls, Step.add_sibling_calls); a call
+write a whole pass of one-edge calls to children, two-edge calls to
+siblings or calls along given paths at once (Step.add_child_calls,
+Step.add_sibling_calls, Step.add_calls); a call
 already placed changes only through Step.replace_call, on the step itself
 or on a Step.copy. A Call, the NamedTuple (src, dst, path) of two
 VertexRefs and the edge ids in travel order, is a view: iterating a step,
@@ -33,9 +34,10 @@ on its id arrays: its sources are informed, its destinations are not, and
 no source, destination or edge appears twice. It checks each path against
 the tree by arithmetic where the path is short, a one-edge path (child,)
 between a vertex and its parent and a two-edge path (caller, sibling) under
-a shared parent or a climb through a grandparent, and climbs ids only for a
-path of three or more edges. Only a step that fails a check is walked call
-by call, to report each violation in order.
+a shared parent or a climb through a grandparent, and walks a path of
+three or more edges from its source, edge by edge, to its destination
+(_off_path). Only a step that fails a check is walked call by call, to
+report each violation in order.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import enum
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, islice
 from typing import NamedTuple
 
 from .ktree import CompleteKTree, VertexRef
@@ -110,6 +113,14 @@ class Step:
         self.dst.fromlist(siblings)
         self.ends.fromlist(list(range(at + 2, at + len(paths) + 1, 2)))
         self.edges.fromlist(paths)
+
+    def add_calls(self, srcs: list[int], dsts: list[int],
+                  paths: list[tuple[int, ...]]) -> None:
+        """Record the calls srcs[i] -> dsts[i] along paths[i]."""
+        self.src.fromlist(srcs)
+        self.dst.fromlist(dsts)
+        self.ends.extend(islice(accumulate(map(len, paths), initial=len(self.edges)), 1, None))
+        self.edges.extend(chain.from_iterable(paths))
 
     def copy(self) -> "Step":
         """A step with copies of the arrays, to change without changing this one."""
@@ -232,7 +243,13 @@ def _off_path(tree: CompleteKTree, src: list[int], dst: list[int],
 
     Ids are parents by arithmetic, (v - 2) // k + 1: a one-edge path is the
     deeper end's edge, and a two-edge path joins two siblings under their
-    parent or climbs through a grandparent. Longer and empty paths are
+    parent or climbs through a grandparent. A longer path is walked from
+    the source: up along edge e when e is the current vertex, down along e
+    when e's parent is, never along the edge just taken, and it must end
+    at the destination. A walk in a tree that never turns back on itself
+    is the simple path between its ends, so this accepts exactly the tree
+    path. The root has no edge above it; a walk that leaves the tree
+    downward cannot come back without turning back. Empty paths are
     climbed, and so is a call with an id outside the tree, for the climb
     to raise OutOfRange.
     """
@@ -242,8 +259,22 @@ def _off_path(tree: CompleteKTree, src: list[int], dst: list[int],
         size = end - start
         if s == d:
             ok = True
-        elif size > 2 or size == 0 or not (0 < s <= n and 0 < d <= n):
+        elif size == 0 or not (0 < s <= n and 0 < d <= n):
             ok = climb(s, d) == flat[start:end]
+        elif size > 2:
+            at, came, ok = s, 0, False
+            for e in flat[start:end]:
+                if e == came:
+                    break
+                if e == at and e > 1:
+                    at = (e - 2) // k + 1
+                elif (e - 2) // k + 1 == at:
+                    at = e
+                else:
+                    break
+                came = e
+            else:
+                ok = at == d
         elif size == 1:
             e = flat[start]
             ok = (e == d and (d - 2) // k + 1 == s

@@ -378,6 +378,18 @@ def test_layer_times_traces_every_layer():
     assert "_star_rounds" in result.stdout
 
 
+def test_layer_times_pairs_two_checkouts():
+    """--against DIR times DIR's program as well, on the same operations
+    and alternating passes, and prints the median paired pass ratio."""
+    result = subprocess.run(
+        [sys.executable, str(LAYER_TOOL), "--workload", "oracle", "--passes", "1",
+         "--against", "."],
+        cwd=LAYER_TOOL.parent.parent, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "_star_rounds" in result.stdout
+    assert "median paired pass ratio" in result.stdout
+
+
 def test_root_lbckt_family_unchanged():
     """lbckt from the root at the 35 points of the acceptance grid."""
     assert _family_digest("root-lbckt") == (

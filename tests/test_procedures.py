@@ -7,7 +7,8 @@ import pytest
 from linebroadcast import Schedule, from_level, merge_upcalls, new, to_level, validate
 from linebroadcast.bounds import ceil_log2, fromlevel_cost, tolevel_upper
 from linebroadcast.errors import OutOfRange, PreconditionViolated
-from linebroadcast.procedures import _cbj_assign, _digit_reversed, _upcall_rows
+from linebroadcast import procedures
+from linebroadcast.procedures import _cbj_assign, _digit_reversed, _upcall_table
 
 
 def as_schedule(tree, u, frag, tag="frag"):
@@ -170,12 +171,32 @@ def test_to_level_counts_a_block_wider_than_a_byte(uid):
 
 # -- from_level --------------------------------------------------------------
 
+def upcall_rows(k, j):
+    """(i, t, leaf offset, target id) per designated fan-up call, read off
+    _upcall_table: distances ascending, then offsets."""
+    return [(i, t, leaf, tid)
+            for i, (leaves, tids, _) in enumerate(_upcall_table(k, j), 1)
+            for t, (leaf, tid) in enumerate(zip(leaves, tids), 1)]
+
+
+def test_upcall_table_paths_are_tree_paths():
+    """Each designated path, built from strided ranges, is the climbed path
+    from its source up to its target."""
+    for k in range(2, 9):
+        for j in range(1, 5):
+            t = new(k, j)
+            base = t.vertex_id(j, 1) - 1
+            for leaves, tids, paths in _upcall_table(k, j):
+                assert len(leaves) == len(tids) == len(paths)
+                for leaf, tid, path in zip(leaves, tids, paths):
+                    assert list(path) == t.climb(base + leaf, tid)
+
 def test_upcall_assignments_fixtures():
-    assert _upcall_rows(2, 2) == [(1, 1, 1, 2), (1, 2, 3, 3), (2, 1, 2, 1)]
+    assert upcall_rows(2, 2) == [(1, 1, 1, 2), (1, 2, 3, 3), (2, 1, 2, 1)]
 
-    assert [row[:3] for row in _upcall_rows(3, 1)] == [(1, 1, 1)]
+    assert [row[:3] for row in upcall_rows(3, 1)] == [(1, 1, 1)]
 
-    rows = _upcall_rows(3, 2)
+    rows = upcall_rows(3, 2)
     i1 = [leaf for i, _, leaf, _ in rows if i == 1]
     i2 = [leaf for i, _, leaf, _ in rows if i == 2]
     assert i1 == [1, 4, 7] and i2 == [2]
@@ -184,7 +205,7 @@ def test_upcall_assignments_fixtures():
 def test_upcall_assignments_distinct():
     for k in range(2, 9):
         for j in range(1, 5):
-            rows = _upcall_rows(k, j)
+            rows = upcall_rows(k, j)
             offs = [leaf for _, _, leaf, _ in rows]
             tgts = [tid for _, _, _, tid in rows]
             assert len(set(offs)) == len(offs)
@@ -201,7 +222,7 @@ def test_upcall_rows_name_each_target_by_its_id():
     for k in range(2, 9):
         for j in range(1, 5):
             t = new(k, j)
-            rows = _upcall_rows(k, j)
+            rows = upcall_rows(k, j)
             assert [row[:2] for row in rows] == [
                 (i, off) for i in range(1, j + 1) for off in range(1, k ** (j - i) + 1)]
             assert [row[3] for row in rows] == [
@@ -273,7 +294,7 @@ def test_merge_upcalls_defers_when_budget_allows():
     assert len(steps) == frag.duration()
     total = sum(len(s) for s in steps) + len(deferred)
     assert total == sum(len(s) for s in frag.steps) + len(
-        [row for row in _upcall_rows(5, 3) if row[3] != 1]
+        [row for row in upcall_rows(5, 3) if row[3] != 1]
     )
 
 
@@ -299,6 +320,111 @@ def test_merge_cost_is_tolevel_plus_fanup():
     merged_cost = sum(c.cost for calls in steps for c in calls)
     assert len(deferred) == 0
     assert merged_cost <= math.floor(tolevel_upper(k, r)) + fromlevel_cost(k, r, True)
+
+
+# -- the fold's shortcut ------------------------------------------------------
+# merge_upcalls appends from_level's step as it is when it fits the final
+# step, and searches otherwise. The fit and the order are written out here
+# from their definitions.
+
+def designated_calls(tree, j, u):
+    """(i, t, source id, target id, path) of from_level's calls: the target
+    at offset t of level j - i hears from offset
+    (k**(i-1) - 1)/(k - 1) + 1 + (t - 1) * k**i of level j; none goes to u."""
+    k = tree.k
+    out = []
+    for i in range(1, j + 1):
+        for t in range(1, k ** (j - i) + 1):
+            tid = tree.vertex_id(j - i, t)
+            if tid != u.id:
+                sid = tree.vertex_id(j, (k ** (i - 1) - 1) // (k - 1) + 1 + (t - 1) * k**i)
+                out.append((i, t, sid, tid, tree.climb(sid, tid)))
+    return out
+
+
+def fold_inputs():
+    """(tree, j, u, steps): to_level's steps for alg2 (j = r - 1) and alg3
+    (j = r), from the root at the 35 grid points, and from the last vertex
+    of level 1 and the middle leaf on the 25 trees with n <= 400."""
+    for k in range(2, 9):
+        for r in range(1, 6):
+            t = new(k, r)
+            us = [t.root]
+            if t.n <= 400:
+                us += [t.vertex(1, k), t.vertex(r, (k**r + 1) // 2)]
+            for u in dict.fromkeys(us):
+                for j in sorted({r - 1, r} - {0}):
+                    yield t, j, u, to_level(t, j, u).steps
+
+
+class Searched(Exception):
+    """The fold went to the search."""
+
+
+def search_stops(monkeypatch):
+    """Make the fold search raise Searched when it starts."""
+    def stop(*args, **kwargs):
+        raise Searched
+
+    monkeypatch.setattr(procedures, "_cbj_assign", stop)
+
+
+def test_fold_appends_from_levels_step_where_it_fits(monkeypatch):
+    search_stops(monkeypatch)
+    fitted = searched = 0
+    for tree, j, u, steps in fold_inputs():
+        last = steps[-1]
+        informed = {u.id}.union(*(step.dst for step in steps[:-1]))
+        idle = informed - set(last.src)
+        used = set(last.edges)
+        calls = designated_calls(tree, j, u)
+        fits = all(sid in idle and used.isdisjoint(path) for _, _, sid, _, path in calls)
+        try:
+            merged, deferred = merge_upcalls(tree, j, u, steps)
+        except Searched:
+            assert not fits, (tree, j, u)
+            searched += 1
+            continue
+        assert fits, (tree, j, u)
+        fitted += 1
+        # scarcest first: the fewest idle informed level-j offsets under
+        # the target, then i, then t
+        base = tree.vertex_id(j, 1) - 1
+
+        def scarcity(call):
+            i, t = call[:2]
+            return sum(base + off in idle
+                       for off in range((t - 1) * tree.k**i + 1, t * tree.k**i + 1))
+
+        calls.sort(key=lambda call: (scarcity(call), call[0], call[1]))
+        assert len(deferred) == 0
+        assert merged[:-1] == steps[:-1]
+        assert list(merged[-1].id_calls()) == list(last.id_calls()) + [
+            (sid, tid, path) for _, _, sid, tid, path in calls]
+        s = Schedule(tree, u, "fold")
+        for step in merged:
+            s.append_step(step)
+        assert validate(s, expected_informed=set(range(1, base + tree.k**j + 1)) | {u.id}).ok
+    assert (fitted, searched) == (88, 61)
+
+
+@pytest.mark.parametrize("spoil", ["busy-source", "used-edge"])
+def test_fold_searches_when_the_step_does_not_fit(monkeypatch, spoil):
+    """One designated source that sends in the final step, or one designated
+    path edge the final step uses, sends the fold to the search."""
+    search_stops(monkeypatch)
+    t = new(2, 3)
+    u = t.vertex(1, 2)
+    steps = to_level(t, 2, u).steps
+    merge_upcalls(t, 2, u, steps)  # the step fits as it is
+    last = steps[-1].copy()
+    _, _, sid, tid, path = designated_calls(t, 2, u)[-1]  # 5 -> 1 along (5, 2)
+    if spoil == "busy-source":
+        last.add(sid, 2 * sid, [2 * sid])  # to its first child, one level down
+    else:
+        last.add(path[1], tid, [path[1]])  # up the path's second edge
+    with pytest.raises(Searched):
+        merge_upcalls(t, 2, u, steps[:-1] + [last])
 
 
 # -- fold search -------------------------------------------------------------

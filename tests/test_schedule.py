@@ -350,6 +350,29 @@ def test_validate_accepts_every_short_path_shape():
     ]) == []
 
 
+@pytest.mark.parametrize("origin,steps,kinds", [
+    # 4 -> 2 down to 8 and back up the same edge, and 8 -> 9 then needs
+    # edge 8 too
+    (4, [[(4, 8, (8,))], [(4, 2, (8, 8, 4)), (8, 9, (8, 9))]],
+     [ViolationKind.PATH_MISMATCH, ViolationKind.EDGE_CONFLICT]),
+    # down past the leaves, to 16 of a 15-vertex tree, and back
+    (8, [[(8, 2, (16, 16, 8, 4))]], [ViolationKind.PATH_MISMATCH]),
+    # up to 4, down to 9, then on to 18, outside the tree
+    (8, [[(8, 9, (8, 9, 18))]], [ViolationKind.PATH_MISMATCH]),
+    # the tree path 8 -> 10 with its middle edges swapped
+    (8, [[(8, 10, (8, 5, 4, 10))]], [ViolationKind.PATH_MISMATCH]),
+    # up from the root along an edge 1 it does not have, and back
+    (1, [[(1, 2, (1, 0, 1, 2))]], [ViolationKind.PATH_MISMATCH]),
+], ids=["doubles-back", "leaves-and-returns", "leaves-the-tree", "swapped-edges",
+        "above-the-root"])
+def test_validate_walks_a_long_path(origin, steps, kinds):
+    """At (2,3) a path of three or more edges is walked from its source;
+    one that turns back on an edge, leaves the tree or ends elsewhere is
+    not the tree path."""
+    found = one_violation(new(2, 3), origin, steps)
+    assert [kind for step, kind, _ in found if step == len(steps)] == kinds
+
+
 def reference_path(k, a, b):
     """The a -> b path from both ends' ancestor lists, edges named by child."""
     def ancestors(v):

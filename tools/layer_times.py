@@ -14,13 +14,22 @@ traced functions it calls. The layers are the builders' phases,
 runs; `lbckt` is traced so that its own time is not charged to a caller. The last line is the whole
 pass, best and median.
 
+    python tools/layer_times.py --workload large-trees --passes 12 --against ../base
+
+--against DIR runs the same operations on the program in DIR/src as
+well, in the same process, alternating which side runs first from one
+pass to the next, so that both sides see the same machine speed. Each
+line then gives both sides' best and median, and the last line the
+median over the passes of this checkout's pass time over DIR's.
+
 Nothing is checked here (perfbench checks the same operations), and the
-program is imported from this checkout's `src`.
+program is imported from this checkout's `src` (and DIR's).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import random
 import statistics
 import sys
@@ -39,13 +48,52 @@ LAYERS = ("to_level", "merge_upcalls", "alg1", "alg2", "_star_rounds", "alg3",
           "validate", "optimal_cost")
 
 
-def install(tracer: tracing.Tracer) -> None:
-    """Trace the layers under the module attributes their callers read."""
-    for name in ("to_level", "merge_upcalls", "_star_rounds",
-                 "alg1", "alg2", "alg3", "lbckt"):
-        tracer.wrap(lb.algorithms, name)
-    tracer.wrap(lb.schedule, "validate")
-    tracer.wrap(lb.oracle, "optimal_cost")
+def load(src: Path, name: str):
+    """The linebroadcast package under src, imported as module name."""
+    spec = importlib.util.spec_from_file_location(
+        name, src / "linebroadcast" / "__init__.py",
+        submodule_search_locations=[str(src / "linebroadcast")])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class Side:
+    """One program's operations, traced, and its per-pass self and wall times."""
+
+    def __init__(self, lb, workload: str, seed: int):
+        self.lb = lb
+        self.ops = workloads.plan(workload, lb, random.Random(seed))
+        workloads.warm_up(lb)
+        self.tracer = tracing.Tracer()
+        # trace the layers under the module attributes their callers read
+        for name in ("to_level", "merge_upcalls", "_star_rounds",
+                     "alg1", "alg2", "alg3", "lbckt"):
+            self.tracer.wrap(lb.algorithms, name)
+        self.tracer.wrap(lb.schedule, "validate")
+        self.tracer.wrap(lb.oracle, "optimal_cost")
+        self.selfs: list[dict[str, float]] = []
+        self.walls: list[float] = []
+
+    def run_pass(self) -> None:
+        tracer = self.tracer
+        lo = len(tracer.spans)
+        start = perf_counter()
+        for op in self.ops:
+            tracer.op = op.index
+            workloads.execute(self.lb, op)
+            tracer.op = None
+        self.walls.append(perf_counter() - start)
+        self.selfs.append(tracer.self_times(lo, len(tracer.spans)))
+
+    def columns(self, name: str) -> str:
+        """Best and median, in ms, of a layer's self time, or of the pass."""
+        if name == "pass":
+            times = [1000 * w for w in self.walls]
+        else:
+            times = [1000 * s.get(name, 0.0) for s in self.selfs]
+        return f"{min(times):9.1f} {statistics.median(times):9.1f}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -54,33 +102,31 @@ def main(argv: list[str] | None = None) -> int:
                         choices=("any-originator", "large-trees", "oracle"))
     parser.add_argument("--passes", type=int, default=7)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="also time the program in DIR/src, alternating passes")
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be at least 1")
+    if args.against is not None and not (args.against / "src" / "linebroadcast").is_dir():
+        parser.error(f"--against: no package at {args.against / 'src' / 'linebroadcast'}")
 
-    ops = workloads.plan(args.workload, lb, random.Random(args.seed))
-    workloads.warm_up(lb)
-    tracer = tracing.Tracer()
-    install(tracer)
-    selfs: list[dict[str, float]] = []
-    walls: list[float] = []
-    for _ in range(args.passes):
-        lo = len(tracer.spans)
-        start = perf_counter()
-        for op in ops:
-            tracer.op = op.index
-            workloads.execute(lb, op)
-            tracer.op = None
-        walls.append(perf_counter() - start)
-        selfs.append(tracer.self_times(lo, len(tracer.spans)))
+    sides = [Side(lb, args.workload, args.seed)]
+    if args.against is not None:
+        other = load(args.against.resolve() / "src", "linebroadcast_against")
+        sides.append(Side(other, args.workload, args.seed))
+    for p in range(args.passes):
+        for side in sides[::-1] if p % 2 else sides:
+            side.run_pass()
 
-    print(f"{args.workload}: {len(ops)} operations, {args.passes} passes, "
+    print(f"{args.workload}: {len(sides[0].ops)} operations, {args.passes} passes, "
           f"seed {args.seed}; self times in ms, best and median")
-    for name in LAYERS:
-        times = [1000 * s.get(name, 0.0) for s in selfs]
-        print(f"{name:18} {min(times):9.1f} {statistics.median(times):9.1f}")
-    pass_ms = [1000 * w for w in walls]
-    print(f"{'pass':18} {min(pass_ms):9.1f} {statistics.median(pass_ms):9.1f}")
+    if len(sides) > 1:
+        print(f"{'':18} {'this':>19} {str(args.against):>19}")
+    for name in (*LAYERS, "pass"):
+        print(f"{name:18} " + " ".join(side.columns(name) for side in sides))
+    if len(sides) > 1:
+        ratios = [a / b for a, b in zip(sides[0].walls, sides[1].walls)]
+        print(f"median paired pass ratio (this / against): {statistics.median(ratios):.3f}")
     return 0
 
 
