@@ -19,8 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import bounds
 from .algorithms import alg1, alg2, alg3, lbckt, lbckt_case
-from .errors import (LineBroadcastError, OutOfRange, SameVertex,
-                     ScheduleFormatError, TooLarge)
+from .errors import (InvalidParams, LineBroadcastError, OutOfRange, Overflow,
+                     SameVertex, ScheduleFormatError, TooLarge)
 from .ktree import CompleteKTree, VertexRef
 from .oracle import ORACLE_CAP, check_bracket
 from .procedures import from_level, to_level
@@ -101,7 +101,11 @@ def schedule_from_dict(data: dict) -> Schedule:
     for field in ("k", "r", "originator", "steps"):
         if field not in data:
             raise ScheduleFormatError(f"schedule has no {field!r}")
-    tree = CompleteKTree(_integer("schedule", data, "k"), _integer("schedule", data, "r"))
+    k, r = _integer("schedule", data, "k"), _integer("schedule", data, "r")
+    try:
+        tree = CompleteKTree(k, r)
+    except (InvalidParams, Overflow) as exc:
+        raise ScheduleFormatError(f"schedule: 'k' {k} and 'r' {r} make no tree: {exc}") from exc
     sched = Schedule(tree, _vertex(tree, "schedule", data, "originator"),
                      data.get("algorithm", ""))
     sched.deviations = list(data.get("deviations", []))

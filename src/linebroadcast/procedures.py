@@ -36,15 +36,18 @@ reaches is never built.
 to_level writes each step's sibling relays down in closed form: the path
 of a call between two vertices of one k-block is (caller id, target id),
 and no edge test can fail while they are placed first. Its delivery order
-is k stripes over the level's k-blocks, so most of a step's sibling
-relays come in runs of blocks with equal fills whose callers sit at one
-place of their blocks; a run is written with one comprehension. The
-cousin relays, whose path is (caller, its parent, the target's parent,
-target), test and write their edges by arithmetic; the wider relays and
-the originator's call test theirs while climbing ids
-(CompleteKTree.climb). A call is recorded only for a placement that
-fits. The fan-up table holds, per distance, the designated sources, the
-targets and the upward paths as strided ranges, so no path is climbed.
+is k stripes over the level's k-blocks, so outside the originator's block
+and the blocks of carried targets a block's informed places are a
+prefix that the batch's start fixes, and a stretch of one stripe's
+blocks has its callers at one place, 2g + 1 below the targets, where g
+counts the batch's earlier stripes over them; a stretch is written with
+one comprehension, and no per-block state is kept. The cousin relays,
+whose path is (caller, its parent, the target's parent, target), test
+and write their edges by arithmetic; the wider relays and the
+originator's call test theirs while climbing ids (CompleteKTree.climb).
+A call is recorded only for a placement that fits. The fan-up table
+holds, per distance, the designated sources, the targets and the upward
+paths as strided ranges, so no path is climbed.
 
 Steps are schedule.Step arrays throughout: each procedure writes its calls'
 ids and paths straight into them, merge_upcalls reads the given steps'
@@ -58,7 +61,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
 from .errors import OutOfRange, PreconditionViolated
@@ -141,25 +144,23 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
     caller is informed and idle, so it is neither; its target is
     uninformed and a new batch entry, so it is neither either.
 
-    The delivery order fills a block's places from its lowest up, so most
-    blocks hold a prefix: their informed places are their first h. Every
-    target in such a block lies above them, and the nearest idle caller is
-    the highest idle one, place h - 1 - g once the block has given g
-    callers in this step (none when g = h). A block kept as two counts
-    (informed places, and one more than the highest informed place) holds
-    a prefix when they are equal. Any other block falls back to scanning
-    outward from the target.
-
-    The sibling pass takes a batch's order entries a run at a time. A run
-    is a range of window positions in one stripe whose blocks hold equal
-    prefixes h and were visited equally often earlier in the batch (once
-    per earlier stripe of the batch that covers them, so the count, and
-    with it g, changes only where the batch began), so its callers sit at
-    one place, h - 1 - g, of their blocks. A run's calls are one
-    comprehension, and its informed places and counts are updated with
-    one slice each once the step is placed. The carried targets, every
-    visit to their blocks or to the originator's, and the blocks that
-    hold no prefix take the per-target rule.
+    No per-block state is kept, because before each step the informed
+    places of level j are the order entries before the batch's start,
+    less the carried targets, plus the originator's: every entry handed
+    to a batch is delivered in its step or carried into the next batch.
+    The carried targets and every target in their blocks or in the
+    originator's take the per-target rule, a scan outward from the target
+    that reads informed places off that invariant. Every other block holds
+    a prefix, as the order hands out a block's places lowest first: its
+    informed places are its first h, the entries before the batch's
+    start. Its target in stripe s, after g earlier visits in this
+    batch (one per earlier stripe of the batch that covers the block), is
+    place s = h + g, above every informed place, so the nearest idle
+    caller is the highest idle one, place h - 1 - g = s - 1 - 2g, and
+    there is none once g >= h. A scan gives that same caller. g changes
+    only at the window position where the batch began, so the run rule
+    writes a stripe's stretch of prefix blocks on either side of it with
+    one comprehension, each caller 2g + 1 places below its target.
 
     Every later placement checks edge-disjointness against the step so
     far. A cousin match (lvl = j - 2) tests and writes its four edges,
@@ -180,23 +181,14 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
     base = level_base[j]
     window = _digit_reversed(k, blocks)
 
-    # per window position x: informed[x * k + p] for each place p of the
-    # block window[x], its informed places (filled) and one more than its
-    # highest informed place (reach, 0 for none)
-    informed = bytearray(size)
-    filled = [0] * blocks
-    reach = [0] * blocks
     pool: list[int] = []  # the informed level-j ids, sorted when a wide match reads them
     gap = -1  # the order entry of the originator's offset, which no batch holds
     u_x: set[int] = set()  # the originator's window position, if on level j
     if u.level == j:
         b, p = divmod(u.offset - 1, k)
-        x = window[b]
-        informed[x * k + p] = 1
-        filled[x], reach[x] = 1, p + 1
         pool.append(u.id)
-        gap = p * blocks + x
-        u_x.add(x)
+        gap = p * blocks + window[b]
+        u_x.add(window[b])
 
     taken = 1 if gap == 0 else 0  # entries before taken have been handed to a batch
     carried: list[int] = []  # the last batch's undelivered targets
@@ -219,7 +211,6 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
         src_ids, dst_ids, ends, edges = step.src, step.dst, step.ends, step.edges
         used_sources: set[int] = set()
         used_edges: set[int] = set()
-        singles: list[int] = []  # offsets delivered outside a sibling run
 
         def add(sid: int, q_off: int, path: tuple[int, ...]) -> None:
             """Record the call from id sid (u, or a level-j vertex) to
@@ -230,7 +221,6 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
             ends.append(len(edges))
             used_sources.add(sid)
             used_edges.update(path)
-            singles.append(q_off)
 
         def match_in_range(q_off: int, lvl: int) -> bool:
             """Idle informed caller for q among the level-lvl subtree's
@@ -289,73 +279,32 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
             unserved = []
             callers: list[int] = []
             targets: list[int] = []
-            runs: list[tuple[int, int, int]] = []  # (x from, x to, stripe) of each served run
-            # visits to the carried targets' blocks and the originator's,
-            # counted one by one; any other block's come from the batch's shape
+            # the blocks that may hold no prefix: the carried targets' and
+            # the originator's
             odd = {window[(q_off - 1) // k] for q_off in carried} | u_x
-            visits = dict.fromkeys(odd, 0)
+            carried_ids = {base + q_off for q_off in carried}
 
-            def one(q_off: int, earlier: int) -> None:
-                """The sibling rule for one target; earlier is the visits
-                to its block before it in this batch, unless the block is odd."""
+            def one(q_off: int) -> None:
+                """The per-target rule: scan outward from q for a place
+                informed before this step (an entry before the batch's
+                start and not carried, or the originator's) that is not a
+                caller yet."""
                 b, p = divmod(q_off - 1, k)
                 x = window[b]
-                h = filled[x]
-                if h == reach[x]:
-                    # a prefix block: its highest idle informed place
-                    if x in visits:
-                        earlier = visits[x]
-                        visits[x] += 1
-                    g = min(earlier, h)  # the callers it gave in this step
-                    if g == h:
-                        unserved.append(q_off)
-                        return
-                    c_off = b * k + h - g
-                else:
-                    row = x * k
-                    for d in range(1, k):  # the lower offset first on a tie
-                        if (p >= d and informed[row + p - d]
-                                and base + q_off - d not in used_sources):
-                            c_off = q_off - d
-                            break
-                        if (p + d < k and informed[row + p + d]
-                                and base + q_off + d not in used_sources):
-                            c_off = q_off + d
-                            break
-                    else:
-                        unserved.append(q_off)
-                        return
-                    # the scan reads used_sources; a prefix block's callers
-                    # are only recorded there after the pass
-                    used_sources.add(base + c_off)
-                callers.append(base + c_off)
-                targets.append(base + q_off)
-                singles.append(q_off)
-
-            def run(s: int, lo: int, hi: int, earlier: int) -> None:
-                """The sibling rule for stripe s at window positions lo..hi-1,
-                each block visited earlier times before in this batch: a run
-                per stretch of equal prefixes, the rest one by one."""
-                at = lo
-                for (h, r), same in groupby(zip(filled[lo:hi], reach[lo:hi])):
-                    end = at + len(list(same))
-                    g = min(earlier, h)
-                    if h != r:
-                        for x in range(at, end):
-                            one(1 + window[x] * k + s, earlier)
-                    elif g == h:
-                        unserved.extend([1 + s + b * k for b in window[at:end]])
-                    else:
-                        # target place s, caller place h - 1 - g
-                        ids = [base + 1 + s + b * k for b in window[at:end]]
-                        shift = 1 + s - h + g
-                        callers.extend([q - shift for q in ids])
-                        targets.extend(ids)
-                        runs.append((at, end, s))
-                    at = end
+                for d in range(1, k):
+                    for c_p in (p - d, p + d):  # the lower place first on a tie
+                        e = c_p * blocks + x
+                        c_id = base + q_off + c_p - p
+                        if (0 <= c_p < k and (e == gap or e < start and c_id not in carried_ids)
+                                and c_id not in used_sources):
+                            used_sources.add(c_id)
+                            callers.append(c_id)
+                            targets.append(base + q_off)
+                            return
+                unserved.append(q_off)
 
             for q_off in carried:
-                one(q_off, 0)
+                one(q_off)
             # the order entries by stripe: stripe s covers window positions
             # lo..hi-1. A block at x was visited once by each earlier stripe
             # of this batch, except by the first if that began after x
@@ -369,12 +318,19 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
                     cuts.add(x_first)
                 at = lo
                 for x in sorted(cuts) + [hi]:
-                    if at < x:
-                        run(s, at, x, i - (at < x_first))
+                    # prefix blocks visited g times before, so s - g deep:
+                    # target place s, caller place s - 1 - 2g
+                    g = i - (at < x_first)
+                    ids = [base + 1 + s + b * k for b in window[at:x]]
+                    if s > 2 * g:
+                        callers.extend([q - 1 - 2 * g for q in ids])
+                        targets.extend(ids)
+                    else:
+                        unserved.extend([q - base for q in ids])
                     at = x
                     if x in odd and x < hi:
                         if s * blocks + x != gap:
-                            one(1 + window[x] * k + s, 0)
+                            one(1 + window[x] * k + s)
                         at = x + 1
             step.add_sibling_calls(callers, targets)
             used_sources.update(callers)
@@ -429,21 +385,7 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
         if not len(step):
             raise RuntimeError("to_level made no progress")  # pragma: no cover
 
-        # every target delivered is informed from the next step on: a run's
-        # blocks a slice at a time, any other target by itself
         pool.extend(step.dst)
-        if j > 1:
-            for lo, hi, s in runs:
-                informed[lo * k + s:hi * k:k] = b"\x01" * (hi - lo)
-                filled[lo:hi] = [h + 1 for h in filled[lo:hi]]
-                reach[lo:hi] = [r if r > s else s + 1 for r in reach[lo:hi]]
-        for q_off in singles:
-            b, p = divmod(q_off - 1, k)
-            x = window[b]
-            informed[x * k + p] = 1
-            filled[x] += 1
-            if p >= reach[x]:
-                reach[x] = p + 1
         carried = unserved
         steps.append(step)
 

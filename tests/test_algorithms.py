@@ -350,11 +350,17 @@ def test_small_alg1_family_unchanged():
 
 def test_small_to_level_family_unchanged():
     """to_level to every level from every originator of the same trees:
-    this pins the sibling pass's nearest-idle scan in the blocks where the
-    informed offsets are not a prefix (the originator's, or one with an
-    undelivered target)."""
+    this pins the sibling pass's per-target scan in the originator's block
+    and the blocks of carried targets, and its run rule everywhere else."""
     assert _family_digest("small-to_level") == (
         "1822c7d8ed87573ff140a89ef31d199a9382be0309446cc115b174f0f81be744", 7504)
+
+
+def test_wide_to_level_family_unchanged():
+    """to_level to levels 1 and 2 from every originator at r = 2 and
+    k = 9..16: the same pin past the grid's k <= 8."""
+    assert _family_digest("wide-to_level") == (
+        "a2ac51c5b4def6538b1229ac7c894838a3264a7ddc084eff4b06cee180d6c9e2", 2800)
 
 
 def test_schedule_digest_rejects_unknown_family():

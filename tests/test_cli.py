@@ -136,7 +136,14 @@ def test_from_dict_rejects_a_bad_call(call, message):
     ({"k": 2.0, "r": 1, "originator": 1, "steps": []}, "'k' is not an integer: 2.0"),
     ({"k": 2, "r": 1, "originator": 9, "steps": []},
      r"'originator': id 9 not in \[1, 3\]"),
-], ids=["no-steps", "bool-originator", "no-calls", "text-k", "float-k", "outside-originator"])
+    ({"k": 1, "r": 2, "originator": 1, "steps": []},
+     "'k' 1 and 'r' 2 make no tree: need k >= 2 and r >= 1"),
+    ({"k": 2, "r": 0, "originator": 1, "steps": []},
+     "'k' 2 and 'r' 0 make no tree: need k >= 2 and r >= 1"),
+    ({"k": 2, "r": 63, "originator": 1, "steps": []},
+     "'k' 2 and 'r' 63 make no tree: n=.* exceeds the 64-bit id range"),
+], ids=["no-steps", "bool-originator", "no-calls", "text-k", "float-k", "outside-originator",
+        "k-1", "r-0", "overflow"])
 def test_from_dict_rejects_a_bad_document(data, message):
     with pytest.raises(ScheduleFormatError, match=message):
         schedule_from_dict(data)

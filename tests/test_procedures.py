@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linebroadcast import Schedule, from_level, merge_upcalls, new, to_level, validate
 from linebroadcast.bounds import ceil_log2, fromlevel_cost, tolevel_upper
@@ -167,6 +168,49 @@ def test_to_level_counts_a_block_wider_than_a_byte(uid):
     rep = validate(as_schedule(t, u, frag), expected_informed={u.id} | level_ids(t, 1),
                    assume_informed={u.id})
     assert rep.ok and frag.duration() == 9
+
+
+@st.composite
+def spreads(draw):
+    """(k, r, j, originator id) with k up to 16 and n <= 1,500."""
+    k = draw(st.integers(2, 16))
+    r = draw(st.integers(1, max(r for r in range(1, 11)
+                                if (k ** (r + 1) - 1) // (k - 1) <= 1500)))
+    t = new(k, r)
+    return k, r, draw(st.integers(1, r)), draw(st.integers(1, t.n))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(spreads())
+def test_sibling_relays_come_from_the_nearest_idle_informed_place(spread):
+    """Each step of to_level opens with its sibling relays. Replayed from
+    the step arrays, each comes from the place of its k-block that was
+    informed before the step and is not an earlier caller in the step,
+    nearest to the target with the lower place on a tie, along (caller,
+    target). The fragment informs exactly level j besides the originator."""
+    k, r, j, uid = spread
+    t = new(k, r)
+    u = t.vertex_by_id(uid)
+    frag = to_level(t, j, u)
+    rep = validate(as_schedule(t, u, frag), expected_informed={uid} | level_ids(t, j),
+                   assume_informed={uid})
+    assert rep.ok, rep.violations[:3]
+    base = (k**j - 1) // (k - 1)  # base + offset is the id of (j, offset)
+    first, last = base + 1, base + k**j
+    informed = {uid}
+    for step in frag.steps:
+        callers = set()
+        for src, dst, path in step.id_calls():
+            if not (j >= 2 and first <= src <= last
+                    and (src - 2) // k == (dst - 2) // k):
+                break  # the leading run of same-block calls ends here
+            lo = first + (dst - first) // k * k
+            idle = [c for c in range(lo, lo + k) if c in informed and c not in callers]
+            assert src == min(idle, key=lambda c: (abs(c - dst), c)), (dst, idle)
+            assert path == [src, dst]
+            callers.add(src)
+        informed.update(step.dst)
+    assert informed == {uid} | level_ids(t, j)
 
 
 # -- from_level --------------------------------------------------------------

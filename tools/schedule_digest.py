@@ -16,6 +16,8 @@ The families:
     on the 25 trees of the acceptance grid with n <= 400;
   * small-to_level: to_level for every level j from every originator on
     the same trees;
+  * wide-to_level: the same at r = 2 and k = 9..16, past the grid's
+    k <= 8;
   * large-trees: lbckt on the 37 schedules of perfbench's `large-trees`
     workload (the root of every tree with 400 < n <= 50,000, and below
     (8,5) the last vertex of level 1, the middle vertex of level r-1 and
@@ -51,6 +53,7 @@ GRID = sorted(((k, r) for k in range(2, 9) for r in range(1, 6)),
               key=lambda kr: _size(*kr))
 SMALL = [(k, r) for k, r in GRID if _size(k, r) <= 400]
 LARGE = [(k, r) for k, r in GRID if 400 < _size(k, r) <= 50_000]
+WIDE = [(k, 2) for k in range(9, 17)]
 ORACLE = sorted(((k, r) for k in range(2, 13) for r in range(1, 3) if _size(k, r) <= 13),
                 key=lambda kr: _size(*kr))
 
@@ -84,8 +87,8 @@ def families():
             for vid in range(1, tree.n + 1):
                 yield (k, r, vid), _schedule(builder(tree, tree.vertex_by_id(vid)))
 
-    def small_to_level():
-        for k, r in SMALL:
+    def every_to_level(trees):
+        for k, r in trees:
             tree = CompleteKTree(k, r)
             for vid in range(1, tree.n + 1):
                 for j in range(1, r + 1):
@@ -115,7 +118,8 @@ def families():
     yield "small-alg1", small(alg1)
     yield "small-alg2", small(alg2)
     yield "small-alg3", small(alg3)
-    yield "small-to_level", small_to_level()
+    yield "small-to_level", every_to_level(SMALL)
+    yield "wide-to_level", every_to_level(WIDE)
     yield "large-trees", large()
     yield "root-alg2", root(alg2)
     yield "root-alg3", root(alg3)
