@@ -295,7 +295,7 @@ def _star_rounds(tree: CompleteKTree, u: VertexRef, informed: bytearray,
                 lo = p + 1
             phase = fed + reps
         step.add_child_calls(feed_src, feed_dst)
-        step.add_sibling_calls(relay_src, relay_dst)
+        step.add_relays([relay_src, relay_dst])
 
         # closing call: once only the root is missing, a level-1 vertex
         # hands it the message at cost 1 (if none can, a later step does)

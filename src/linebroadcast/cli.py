@@ -270,6 +270,8 @@ def cmd_sweep(args) -> int:
     r_lo, r_hi = _parse_range(args.r)
     if k_lo < 2 or r_lo < 1 or k_hi < k_lo or r_hi < r_lo:
         raise UsageError("invalid k/r ranges")
+    if args.parallel < 0:
+        raise UsageError(f"--parallel {args.parallel} is negative")
 
     cells: list[tuple[int, int, int]] = []
     for k in range(k_lo, k_hi + 1):
@@ -374,7 +376,7 @@ def build_parser() -> _Parser:
                        help="root | all | comma-separated ids")
     sweep.add_argument("--out", default="-", help="CSV path ('-' for stdout)")
     sweep.add_argument("--parallel", type=int, default=0,
-                       help="number of worker processes")
+                       help="number of worker processes (0 or 1: in process)")
     sweep.set_defaults(func=cmd_sweep)
 
     orc = sub.add_parser("oracle", help="exhaustive optimum on a tiny tree")

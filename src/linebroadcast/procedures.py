@@ -33,18 +33,26 @@ dedicated follow-up step. Each fan-up target's source options are produced
 as the search asks for them, so the path of an option the search never
 reaches is never built.
 
-to_level writes each step's sibling relays down in closed form: the path
-of a call between two vertices of one k-block is (caller id, target id),
-and no edge test can fail while they are placed first. Its delivery order
-is k stripes over the level's k-blocks, so outside the originator's block
-and the blocks of carried targets a block's informed places are a
-prefix that the batch's start fixes, and a stretch of one stripe's
-blocks has its callers at one place, 2g + 1 below the targets, where g
-counts the batch's earlier stripes over them; a stretch is written with
-one comprehension, and no per-block state is kept. The cousin relays,
-whose path is (caller, its parent, the target's parent, target), test
-and write their edges by arithmetic; the wider relays and the
-originator's call test theirs while climbing ids (CompleteKTree.climb).
+to_level writes its relays a stretch at a time, at every scale. Its
+delivery order is Farley's doubling repeated one scale up per round:
+round m is k - 1 stripes over the level-(m-1) vertices, its groups, each
+stripe delivering one more place of every group, where a group's places
+are the first leaves below its k children. Outside the originator's
+groups and the groups of carried targets a group's informed places are a
+prefix that the batch's start fixes, and a stretch of one stripe's groups
+has its callers at one place, 2g + 1 below the targets, where g counts
+the batch's earlier stripes over them. A stretch is written with one
+comprehension per edge, its paths by arithmetic, and no per-group state
+is kept. The sibling relays (round j) need no edge test; a wider
+stretch tests its callers against the step's sources, as an idle caller's
+path is clear. The targets the runs leave, carried or in those groups,
+take a per-target rule: a scan of the k-block for siblings, a
+nearest-first match over the informed ids for wider relays, whose
+cousin paths, (caller, its parent, the target's parent, target), are
+tested by arithmetic and whose wider paths and the originator's call are
+tested while climbing ids (CompleteKTree.climb). The originator's swap
+reads its distance to a destination off the two ids, so it climbs only
+for a call it would shorten by more than its best gain so far.
 A call is recorded only for a placement that fits. The fan-up table
 holds, per distance, the designated sources, the targets and the upward
 paths as strided ranges, so no path is climbed.
@@ -58,7 +66,7 @@ Call or VertexRef is made here.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -82,13 +90,19 @@ class Fragment:
         return sum(step.cost() for step in self.steps)
 
 
-def _nearest_first(pool: list[int], q: int, lo: int = 0, hi: int | None = None):
+def _nearest_first(pool: list[int], q: int, lo: int = 0, hi: int | None = None,
+                   hole: tuple[int, int] | None = None):
     """The values of the sorted pool[lo:hi], nearest to q first, a tie
-    going to the lower value."""
+    going to the lower value, less those from hole[0] to hole[1], a range
+    around q, if given."""
     if hi is None:
         hi = len(pool)
-    below = bisect_left(pool, q, lo, hi) - 1
-    above = below + 1
+    if hole is None:
+        below = bisect_left(pool, q, lo, hi) - 1
+        above = below + 1
+    else:
+        below = bisect_left(pool, hole[0], lo, hi) - 1
+        above = bisect_right(pool, hole[1], below + 1, hi)
     while below >= lo or above < hi:
         if above >= hi or (below >= lo and q - pool[below] <= pool[above] - q):
             yield pool[below]
@@ -102,12 +116,13 @@ def _nearest_first(pool: list[int], q: int, lo: int = 0, hi: int | None = None):
 # anchor grids over the offsets of level j
 # ---------------------------------------------------------------------------
 
-def _digit_reversed(k: int, count: int) -> list[int]:
-    """0..count-1 (count a power of k) ordered by reversed base-k digits."""
-    # with one digit more, w = d * k**p + w' reverses to rev(w') * k + d
-    out = [0]
-    while len(out) < count:
-        out = [rev * k + d for d in range(k) for rev in out]
+def _digit_reversals(k: int, p: int) -> list[list[int]]:
+    """For i = 0..p, the list of 0..k**i - 1 ordered by reversed base-k
+    digits, i digits each."""
+    # with one digit more, w = d * k**i + w' reverses to rev(w') * k + d
+    out = [[0]]
+    for _ in range(p):
+        out.append([rev * k + d for d in range(k) for rev in out[-1]])
     return out
 
 
@@ -134,41 +149,74 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
     batch is the targets carried over, then a range of entries with the
     originator's own offset skipped.
 
-    For j >= 2 a step opens with the sibling pass: each batch target, in
-    order, hears from the nearest idle informed offset of its k-block (a
-    tie goes to the lower offset), along the path (caller id, target id).
-    No edge test can fail in this pass. It runs first in the step, so the
-    only edges in use are those of its own calls: each is the edge above
-    an earlier caller (informed, and now a used source) or above an
-    earlier target (uninformed, and another batch entry). This call's
-    caller is informed and idle, so it is neither; its target is
-    uninformed and a new batch entry, so it is neither either.
+    Each round is Farley's doubling one scale up. Round m holds the entries
+    k**(m-1) .. k**m - 1, and entry s * k**(m-1) + x, s >= 1, is place s of
+    the group at window position x: the group is the level-(m-1) vertex at
+    offset G + 1, G = orders[m-1][x], its places are the first leaves below
+    its k children, and place s is offset 1 + (G * k + s) * k**(j-m). So
+    round m is stripes 1..k-1 over the groups of scale m as the last round
+    is over the k-blocks, and stripe 0 is the rounds before. A relay
+    within a group meets its target at the group, lvl = m - 1, along
+    2 * (j - lvl) edges: the caller's ancestors up to the group, then the
+    target's down.
 
-    No per-block state is kept, because before each step the informed
+    No per-group state is kept, because before each step the informed
     places of level j are the order entries before the batch's start,
     less the carried targets, plus the originator's: every entry handed
     to a batch is delivered in its step or carried into the next batch.
-    The carried targets and every target in their blocks or in the
-    originator's take the per-target rule, a scan outward from the target
-    that reads informed places off that invariant. Every other block holds
-    a prefix, as the order hands out a block's places lowest first: its
-    informed places are its first h, the entries before the batch's
-    start. Its target in stripe s, after g earlier visits in this
-    batch (one per earlier stripe of the batch that covers the block), is
-    place s = h + g, above every informed place, so the nearest idle
-    caller is the highest idle one, place h - 1 - g = s - 1 - 2g, and
-    there is none once g >= h. A scan gives that same caller. g changes
-    only at the window position where the batch began, so the run rule
-    writes a stripe's stretch of prefix blocks on either side of it with
-    one comprehension, each caller 2g + 1 places below its target.
+    A round-m target is the first leaf of its level-m subtree, and the
+    finer rounds' entries come later in the order, so that subtree holds
+    no informed vertex but the originator: a finer scale finds no caller
+    for the target, which is first tried at its own scale (at every scale
+    when the originator is on level j). Every group but the carried
+    targets' and the originator's holds a prefix, as the order hands out
+    a group's places lowest first: its informed vertices are its first h
+    places, the entries before the batch's start. Its target in stripe s, after g
+    earlier visits in this batch (one per earlier stripe of the batch that
+    covers the group), is place s = h + g, above every informed place, and
+    those g targets took places h - 1 .. h - g, so the nearest idle caller
+    is place h - 1 - g = s - 1 - 2g, and there is none once g >= h. g
+    changes only at the window position where the batch began, so the run
+    rule writes a stripe's stretch of prefix groups on either side of it
+    with one comprehension per edge, each caller 2g + 1 places below its
+    target.
 
-    Every later placement checks edge-disjointness against the step so
-    far. A cousin match (lvl = j - 2) tests and writes its four edges,
-    caller, caller's parent, target's parent and target, by arithmetic;
-    a wider one tests while it climbs. At those scales a caller outside
-    the target's next-deeper subtree meets it at their common level-lvl
-    ancestor, so the way down from that ancestor is climbed once per
-    target and each caller only climbs up to it.
+    The sibling pass, round j's runs at lvl = j - 1, opens the step, so
+    its callers are idle (a call before one lies in another block or took
+    another place of its block) and the only edges in use are those above
+    its earlier callers and targets. At a wider scale a run's caller may
+    have called at a finer one, so a run's callers are tested against the
+    step's sources with one isdisjoint, and where one is busy its group
+    takes the per-target rule from that call on at that scale. An idle
+    caller's path is clear. A path uses an edge only if one of its ends
+    lies below it; below the caller's place (the level-m subtree it is
+    the first leaf of) no vertex but the caller is informed and the
+    batch's finer targets there come later in the order, and below the
+    target's place no call so far has an end. Every path of the passes
+    joins two level-j vertices, each the end of at most one call, so no
+    test in the passes can find a level-j edge in use, and the passes
+    keep only the edges above level j. Only the originator's path, and
+    the one its swap would take, can cross one more, the edge of u's
+    level-j ancestor when u lies below level j; it is added before them
+    if that ancestor called or was called.
+
+    The per-target rule serves the carried targets, the targets in their
+    groups or the originator's, a run's targets where it was spoiled, and
+    whatever a scale leaves for the next, wider one. In the sibling pass
+    it scans the target's block outward for a place informed before the
+    step, reading the invariant above. At wider scales it matches the
+    nearest idle informed vertex of the target's level-lvl subtree outside
+    its level-(lvl+1) subtree whose path is clear: a cousin match
+    (lvl = j - 2) tests its four edges, caller, caller's parent, target's
+    parent and target, by arithmetic; a wider one tests while it climbs,
+    the way down from the meeting vertex once per target and each caller
+    only up to it.
+
+    The swap hands an idle originator the call it shortens most. The
+    step's calls came from the passes, shortest first, so only the last
+    can be longer than u's distance to level j; u's distance to their
+    targets is read off the ids, and a path is climbed only for a call it
+    would shorten by more than the best gain so far.
     """
     if not 1 <= j <= tree.r:
         raise OutOfRange(f"level {j} not in [1, {tree.r}]")
@@ -179,17 +227,26 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
     # level_base[i] + offset is the id of the vertex (i, offset)
     level_base = [(k**i - 1) // (k - 1) for i in range(j + 1)]
     base = level_base[j]
-    window = _digit_reversed(k, blocks)
+    # orders[i] lists the level-i offsets, less one, digits reversed:
+    # round m's groups by window position are orders[m - 1], and the
+    # blocks' order is window
+    orders = _digit_reversals(k, j - 1)
+    window = orders[-1]
+    # the group at level lvl, offset G + 1, has its place p's level-l
+    # ancestor at offset G * k**(l - lvl) + p * k**(l - lvl - 1) + 1:
+    # rungs[lvl] holds those two factors and level l's first id, for l
+    # from j up to lvl + 1
+    rungs = [[(k ** (level - lvl), level_base[level] + 1, k ** (level - lvl - 1))
+              for level in range(j, lvl, -1)] for lvl in range(j)]
 
     pool: list[int] = []  # the informed level-j ids, sorted when a wide match reads them
     gap = -1  # the order entry of the originator's offset, which no batch holds
-    u_x: set[int] = set()  # the originator's window position, if on level j
+    u_off: list[int] = []  # the originator's offset, if on level j
     if u.level == j:
         b, p = divmod(u.offset - 1, k)
         pool.append(u.id)
         gap = p * blocks + window[b]
-        u_x.add(window[b])
-
+        u_off.append(u.offset)
     taken = 1 if gap == 0 else 0  # entries before taken have been handed to a batch
     carried: list[int] = []  # the last batch's undelivered targets
 
@@ -211,21 +268,32 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
         src_ids, dst_ids, ends, edges = step.src, step.dst, step.ends, step.edges
         used_sources: set[int] = set()
         used_edges: set[int] = set()
+        carried_ids = {base + q_off for q_off in carried}
 
-        def add(sid: int, q_off: int, path: tuple[int, ...]) -> None:
-            """Record the call from id sid (u, or a level-j vertex) to
-            q_off: Step.add, written out, as this runs once per call."""
-            src_ids.append(sid)
-            dst_ids.append(base + q_off)
-            edges.extend(path)
-            ends.append(len(edges))
-            used_sources.add(sid)
-            used_edges.update(path)
+        def scan(q_off: int) -> tuple[int, int] | None:
+            """The sibling pass's per-target rule: the path from the place
+            of q's k-block nearest q, the lower on a tie, that was informed
+            before this step (an entry before the batch's start and not
+            carried, or the originator's) and is not a caller yet, to q."""
+            qid = base + q_off
+            b, p = divmod(q_off - 1, k)
+            x = window[b]
+            for d in range(1, k):
+                for c_p in (p - d, p + d):
+                    e = c_p * blocks + x
+                    sid = qid + c_p - p
+                    if (0 <= c_p < k and (e == gap or e < start and sid not in carried_ids)
+                            and sid not in used_sources):
+                        return sid, qid
+            return None
 
-        def match_in_range(q_off: int, lvl: int) -> bool:
-            """Idle informed caller for q among the level-lvl subtree's
-            vertices outside q's level-(lvl+1) subtree, nearest first."""
+        def match_in_range(q_off: int, lvl: int) -> tuple[int, ...] | None:
+            """The path to q from the idle informed caller among the
+            level-lvl subtree's vertices outside q's level-(lvl+1) subtree,
+            nearest first, whose path is clear; it starts with the
+            caller's id."""
             nonlocal pool_sorted
+            qid = base + q_off
             if not pool_sorted:
                 pool.sort()
                 pool_sorted = True
@@ -234,118 +302,161 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
             inner = span // k
             inner_lo = base + q_off - (q_off - 1) % inner
             inner_hi = inner_lo + inner - 1
-            qid = base + q_off
+            # q's level-(lvl+1) subtree was tried at a tighter radius
             callers = _nearest_first(pool, qid, bisect_left(pool, lo_id),
-                                     bisect_left(pool, lo_id + span))
+                                     bisect_left(pool, lo_id + span), (inner_lo, inner_hi))
             if lvl == j - 2:
                 # a cousin: the path is (caller, its parent, q's parent, q)
                 q_up = (qid - 2) // k + 1
                 if qid in used_edges or q_up in used_edges:
-                    return False
+                    return None
                 for sid in callers:
-                    if (inner_lo <= sid <= inner_hi or sid in used_sources
-                            or sid in used_edges):
+                    if sid in used_sources or sid in used_edges:
                         continue
                     s_up = (sid - 2) // k + 1
                     if s_up not in used_edges:
-                        add(sid, q_off, (sid, s_up, q_up, qid))
-                        return True
-                return False
+                        return sid, s_up, q_up, qid
+                return None
             # every caller left meets q at their level-lvl ancestor, so all
             # their calls share its way down to q: climb that once, and
             # each caller only up to it
             top = level_base[lvl] + (q_off - 1) // span + 1
             down = climb(top, qid, used_edges)
             if down is None:
-                return False
+                return None
             for sid in callers:
-                if inner_lo <= sid <= inner_hi:
-                    continue  # tried at a tighter radius already
                 if sid in used_sources:
                     continue
                 up = climb(sid, top, used_edges)
                 if up is not None:
-                    add(sid, q_off, (*up, *down))
-                    return True
-            return False
+                    return (*up, *down)
+            return None
 
-        # the sibling pass: each target, in order, hears from the nearest
-        # idle informed vertex of its k-block (no edge test: see above). At
-        # j = 1 the block is the whole level and its relays are the
-        # through-the-root mop-up below, which comes after the originator
-        if j == 1:
-            unserved = carried + [e + 1 for e in range(start, stop) if e != gap]
-        else:
-            unserved = []
-            callers: list[int] = []
-            targets: list[int] = []
-            # the blocks that may hold no prefix: the carried targets' and
+        def place(path: tuple[int, ...]) -> None:
+            """Record the call along path between two level-j vertices, up
+            from the caller's edge and down to the target's: Step.add,
+            written out, as this runs once per call. Those two edges need
+            not be kept in use (see the docstring)."""
+            src_ids.append(path[0])
+            dst_ids.append(path[-1])
+            edges.extend(path)
+            ends.append(len(edges))
+            used_sources.add(path[0])
+            used_edges.update(path[1:-1])
+
+        def match(q_off: int) -> bool:
+            """The per-target rule at the pass's scale, lvl."""
+            path = scan(q_off) if lvl == j - 1 else match_in_range(q_off, lvl)
+            if path is None:
+                return False
+            place(path)
+            return True
+
+        # the batch in order: targets of the per-target rule, (lvl, q_off),
+        # tried from scale lvl on, and the run rule's stretches, (lvl, s,
+        # g, x0, x1): round m's stripe s over the groups at window
+        # positions x0..x1-1, each visited g times before in the batch,
+        # written at lvl = m - 1. The first k entries, the root's group,
+        # take the per-target rule
+        todo = [(j - 1, q_off) for q_off in carried]
+        if start < k:
+            todo += [(j - 1 if u_off else 0, q_off) for q_off in
+                     (1 + e * k ** (j - 1) for e in range(start, min(stop, k)) if e != gap)]
+        width = 1
+        for m in range(2, j + 1):
+            width *= k  # round m's entries are s * width + x, width..k * width - 1
+            lo_e, hi_e = max(start, width), min(stop, k * width)
+            if lo_e >= hi_e:
+                continue
+            groups = orders[m - 1]
+            unit = k ** (j - m)  # the offsets between two places of a group
+            # the groups that may hold no prefix: the carried targets' and
             # the originator's
-            odd = {window[(q_off - 1) // k] for q_off in carried} | u_x
-            carried_ids = {base + q_off for q_off in carried}
-
-            def one(q_off: int) -> None:
-                """The per-target rule: scan outward from q for a place
-                informed before this step (an entry before the batch's
-                start and not carried, or the originator's) that is not a
-                caller yet."""
-                b, p = divmod(q_off - 1, k)
-                x = window[b]
-                for d in range(1, k):
-                    for c_p in (p - d, p + d):  # the lower place first on a tie
-                        e = c_p * blocks + x
-                        c_id = base + q_off + c_p - p
-                        if (0 <= c_p < k and (e == gap or e < start and c_id not in carried_ids)
-                                and c_id not in used_sources):
-                            used_sources.add(c_id)
-                            callers.append(c_id)
-                            targets.append(base + q_off)
-                            return
-                unserved.append(q_off)
-
-            for q_off in carried:
-                one(q_off)
-            # the order entries by stripe: stripe s covers window positions
-            # lo..hi-1. A block at x was visited once by each earlier stripe
-            # of this batch, except by the first if that began after x
-            first_stripe, x_first = divmod(start, blocks)
-            for s in range(first_stripe, (stop - 1) // blocks + 1):
-                lo = max(start - s * blocks, 0)
-                hi = min(stop - s * blocks, blocks)
+            odd = {groups[(q_off - 1) // (unit * k)] for q_off in chain(carried, u_off)}
+            # stripe s covers window positions lo..hi-1. A group at x was
+            # visited once by each earlier stripe of this batch, except by
+            # the first if that began after x
+            first_stripe, x_first = divmod(start, width)
+            for s in range(lo_e // width, (hi_e - 1) // width + 1):
+                lo = max(lo_e - s * width, 0)
+                hi = min(hi_e - s * width, width)
                 i = s - first_stripe
                 cuts = {x for x in odd if lo <= x < hi}
                 if i and lo < x_first < hi:
                     cuts.add(x_first)
                 at = lo
                 for x in sorted(cuts) + [hi]:
-                    # prefix blocks visited g times before, so s - g deep:
-                    # target place s, caller place s - 1 - 2g
-                    g = i - (at < x_first)
-                    ids = [base + 1 + s + b * k for b in window[at:x]]
-                    if s > 2 * g:
-                        callers.extend([q - 1 - 2 * g for q in ids])
-                        targets.extend(ids)
-                    else:
-                        unserved.extend([q - base for q in ids])
+                    if at < x:
+                        # prefix groups visited g times before: s - g deep
+                        todo.append((m - 1, s, i - (at < x_first), at, x))
                     at = x
                     if x in odd and x < hi:
-                        if s * blocks + x != gap:
-                            one(1 + window[x] * k + s)
+                        if s * width + x != gap:
+                            q_off = 1 + (groups[x] * k + s) * unit
+                            todo.append((j - 1 if u_off else m - 1, q_off))
                         at = x + 1
-            step.add_sibling_calls(callers, targets)
-            used_sources.update(callers)
-            used_edges.update(callers)
-            used_edges.update(targets)
 
-        # then by relay scale, tightest first: pairs meeting two levels up,
-        # then three, and so on. A caller only leaves its subtree after every
-        # target inside it is spoken for, so no call burns an edge a deeper
-        # obligation still needs.
-        for lvl in range(j - 2, 0, -1):
-            if not unserved:
+        # by relay scale, tightest first: sibling pairs, then pairs meeting
+        # two levels up, and so on. A caller only leaves its subtree after
+        # every target inside it is spoken for, so no call burns an edge a
+        # deeper obligation still needs. A run is written as it is met, so
+        # the ids of one stretch at a time are alive
+        for lvl in range(j - 1, 0, -1):
+            if not todo:
                 break
-            unserved = [q_off for q_off in unserved
-                        if not match_in_range(q_off, lvl)]
+            unit = k ** (j - 1 - lvl)
+            left = []
+            spoiled: set[int] = set()  # groups where a call took the per-target rule
+            for item in todo:
+                if item[0] < lvl:
+                    left.append(item)  # for a coarser scale
+                    continue
+                if len(item) == 2:
+                    if not match(item[1]):
+                        left.append(item)
+                    continue
+                _, s, g, x0, x1 = item
+                groups = orders[lvl][x0:x1]
+                if s > 2 * g:
+                    # each caller 2g + 1 places below its target: its
+                    # ancestors up to the group, then the target's down
+                    c = s - 1 - 2 * g
+                    ways = [(mul, first + c * per) for mul, first, per in rungs[lvl]]
+                    ways += [(mul, first + s * per) for mul, first, per in reversed(rungs[lvl])]
+                    run = [[G * mul + add for G in groups] for mul, add in ways]
+                    if lvl == j - 1 or not spoiled and used_sources.isdisjoint(run[0]):
+                        used_sources.update(run[0])
+                        used_edges.update(*run[1:-1])
+                        step.add_relays(run)
+                        continue
+                    calls = zip(*run)
+                elif not spoiled:  # every place of their groups calls already
+                    left += [(lvl - 1, 1 + (G * k + s) * unit) for G in groups]
+                    continue
+                else:
+                    calls = repeat(None)
+                # call by call: a group whose caller calls already, or
+                # where a call took the per-target rule, takes it from here
+                for x, G, path in zip(range(x0, x1), groups, calls):
+                    q_off = 1 + (G * k + s) * unit
+                    if x in spoiled or path is not None and path[0] in used_sources:
+                        spoiled.add(x)
+                        if not match(q_off):
+                            left.append((lvl - 1, q_off))
+                    elif path is not None:
+                        place(path)
+                    else:
+                        left.append((lvl - 1, q_off))
+            todo = left
+        unserved = [q_off for _, q_off in todo]
+
+        # the passes kept only the edges above level j; below it u's path
+        # also crosses its level-j ancestor's, in use if that one called or
+        # was called
+        if u.level > j:
+            above_u = base + 1 + (u.offset - 1) // k ** (u.level - j)
+            if above_u in used_sources or above_u in dst_ids:
+                used_edges.add(above_u)
 
         # the originator picks up the first target local relays missed (its
         # one-way path has the smallest edge footprint), and only then do
@@ -353,34 +464,54 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
         if unserved and u.id not in used_sources:
             path = climb(u.id, base + unserved[0], used_edges)
             if path is not None:
-                add(u.id, unserved[0], tuple(path))
+                step.add(u.id, base + unserved[0], path)
+                used_sources.add(u.id)
+                used_edges.update(path)
                 unserved = unserved[1:]
-        unserved = [q_off for q_off in unserved if not match_in_range(q_off, 0)]
+        left = []
+        for q_off in unserved:
+            path = match_in_range(q_off, 0)
+            if path is None:
+                left.append(q_off)
+            else:
+                place(path)
+        unserved = left
 
         # swap: if the originator idled, let it absorb the priciest call
-        # it can run cheaper, edge-checked against the rest of the step
+        # it can run cheaper, edge-checked against the rest of the step.
+        # Its distance to a destination comes from the two ids, so a
+        # path is climbed only for a call it would shorten by more than
+        # the best gain so far
         if u.id not in used_sources and len(step):
-            # u's path to level j has at least |u.level - j| edges, so a call
-            # no longer than that plus the best gain so far is passed over
-            # without a climb
             least = abs(u.level - j)
+            # u's offset and the destination's, less one, divided down to
+            # the shallower of their levels, climb together until they agree
+            u_low = (u.offset - 1) // k ** max(u.level - j, 0)
+            below = k ** max(j - u.level, 0)
             best_gain, best = 0, None
-            start = 0
-            for i, end in enumerate(ends):
-                if end - start - least > best_gain:
-                    did, path = dst_ids[i], edges[start:end]
-                    upath = climb(u.id, did)
-                    gain = len(path) - len(upath)
-                    if gain > best_gain and all(
-                            e not in used_edges or e in path for e in upath):
-                        best_gain, best = gain, (i, did, path, upath)
-                start = end
+            # with u idle every call came from a pass, the shorter passes
+            # first and the mop-up last, so the calls longer than least end
+            # the step
+            first = bisect_right(range(len(ends)), least,
+                                 key=lambda i: ends[i] - (ends[i - 1] if i else 0))
+            prev = ends[first - 1] if first else 0
+            for i in range(first, len(ends)):
+                end = ends[i]
+                if end - prev - least > best_gain:
+                    did = dst_ids[i]
+                    a, b, apart = u_low, (did - base - 1) // below, least
+                    while a != b:
+                        a, b, apart = a // k, b // k, apart + 2
+                    gain = end - prev - apart
+                    if gain > best_gain:
+                        path = edges[prev:end]
+                        upath = climb(u.id, did)
+                        if all(e not in used_edges or e in path for e in upath):
+                            best_gain, best = gain, (i, did, path, upath)
+                prev = end
             if best is not None:
                 i, did, path, upath = best
                 step.replace_call(i, u.id, did, upath)
-                used_edges.difference_update(path)
-                used_edges.update(upath)
-                used_sources.add(u.id)
 
         if not len(step):
             raise RuntimeError("to_level made no progress")  # pragma: no cover

@@ -19,9 +19,9 @@ source ids, their destination ids, the offset where each call's path ends
 in a flat edge buffer, and that buffer. A schedule of n vertices holds
 n - 1 calls, and this way it keeps no object per call. The builders append
 ids straight to a step (Step.add, or the same appends written out), and
-write a whole pass of one-edge calls to children, two-edge calls to
-siblings or calls along given paths at once (Step.add_child_calls,
-Step.add_sibling_calls, Step.add_calls); a call
+write a whole pass of one-edge calls to children, relays between
+vertices of one level, an edge at a time, or calls along given paths at
+once (Step.add_child_calls, Step.add_relays, Step.add_calls); a call
 already placed changes only through Step.replace_call, on the step itself
 or on a Step.copy. A Call, the NamedTuple (src, dst, path) of two
 VertexRefs and the edge ids in travel order, is a view: iterating a step,
@@ -102,17 +102,22 @@ class Step:
         self.ends.fromlist(list(range(at + 1, at + len(children) + 1)))
         self.edges.fromlist(children)
 
-    def add_sibling_calls(self, callers: list[int], siblings: list[int]) -> None:
-        """Record the calls callers[i] -> siblings[i], each through their
-        common parent, along (callers[i], siblings[i])."""
-        paths = [0] * (2 * len(callers))
-        paths[0::2] = callers
-        paths[1::2] = siblings
+    def add_relays(self, paths: list[list[int]]) -> None:
+        """Record the calls along paths of one length, given an edge at a
+        time: call i runs along (paths[0][i], ..., paths[-1][i]), from
+        paths[0][i] to paths[-1][i], as a relay between two vertices of
+        one level does, up from the caller's edge and down to the
+        target's. With two lists the calls are sibling relays through
+        their common parent."""
+        width = len(paths)
+        flat = [0] * (width * len(paths[0]))
+        for i, column in enumerate(paths):
+            flat[i::width] = column
         at = len(self.edges)
-        self.src.fromlist(callers)
-        self.dst.fromlist(siblings)
-        self.ends.fromlist(list(range(at + 2, at + len(paths) + 1, 2)))
-        self.edges.fromlist(paths)
+        self.src.fromlist(paths[0])
+        self.dst.fromlist(paths[-1])
+        self.ends.fromlist(list(range(at + width, at + len(flat) + 1, width)))
+        self.edges.fromlist(flat)
 
     def add_calls(self, srcs: list[int], dsts: list[int],
                   paths: list[tuple[int, ...]]) -> None:

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linebroadcast import alg1, alg2, alg3, lbckt, lbckt_case, new, validate
 from linebroadcast.bounds import (
@@ -181,6 +182,36 @@ def test_leaf_stars_match_the_call_by_call_rule(k):
             got = [list(step.id_calls()) for step in steps]
             assert got == _leaf_stars_call_by_call(t, pre), (k, r, sorted(pre))
             assert informed == bytes([0]) + bytes([1]) * t.n
+
+
+@st.composite
+def leaf_star_starts(draw):
+    """(k, r, the pre-informed leaf ids) with k up to 16 and n <= 1,500."""
+    k = draw(st.integers(2, 16))
+    r = draw(st.integers(1, max(r for r in range(1, 11) if tree_size(k, r) <= 1500)))
+    first_leaf = (k**r - 1) // (k - 1) + 1
+    rnd = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 0.95, 1.0]))
+    return k, r, {lid for lid in range(first_leaf, first_leaf + k**r) if rnd.random() < density}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(leaf_star_starts())
+def test_leaf_stars_match_the_call_by_call_rule_on_drawn_trees(start):
+    """alg1's last round started as alg2 starts its leaf stars, every inner
+    vertex informed and a drawn set of leaves, places the calls of the
+    per-call rule, in the same order (a step's feeds, then its relays),
+    for k up to 16."""
+    k, r, pre = start
+    t = new(k, r)
+    first_leaf = t.vertex_id(r, 1)
+    informed = bytearray(t.n + 1)
+    informed[1:first_leaf] = bytes([1]) * (first_leaf - 1)
+    for lid in pre:
+        informed[lid] = 1
+    steps = _star_rounds(t, t.root, informed, (r - 1) * ceil_log2(k + 1))
+    assert [list(step.id_calls()) for step in steps] == _leaf_stars_call_by_call(t, pre)
+    assert informed == bytes([0]) + bytes([1]) * t.n
 
 
 def test_alg3_fixtures():
@@ -361,6 +392,15 @@ def test_wide_to_level_family_unchanged():
     k = 9..16: the same pin past the grid's k <= 8."""
     assert _family_digest("wide-to_level") == (
         "a2ac51c5b4def6538b1229ac7c894838a3264a7ddc084eff4b06cee180d6c9e2", 2800)
+
+
+def test_wide_relays_family_unchanged():
+    """to_level to levels 3..r from the root, the vertex (1, k), the middle
+    vertices of levels 2 and r-1 and the middle leaf, at r = 3 and
+    k = 9..16 and at (9,4) and (10,4): the cousin and wider relays past
+    the grid, where the run rule writes them a stretch at a time."""
+    assert _family_digest("wide-relays") == (
+        "257ecf36834bff71dabb7a4d026349c16c16d7558b8d3c2a4605181f65f2f3df", 52)
 
 
 def test_schedule_digest_rejects_unknown_family():

@@ -217,6 +217,22 @@ def test_sweep_bad_integer_is_usage_error(capsys, argv, word):
     assert err.startswith("usage error: ") and word in err
 
 
+def test_sweep_negative_parallel_is_usage_error(capsys, monkeypatch):
+    """--parallel -1 is refused before any cell runs, and no worker starts."""
+    import linebroadcast.cli as cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "_sweep_cell", no_pool)
+    code, out, err = run_cli(capsys, "sweep", "--k", "2..3", "--r", "1..2",
+                             "--parallel", "-1")
+    assert code == 1
+    assert err.startswith("usage error: ") and "--parallel -1" in err
+    assert out == ""
+
+
 def test_sweep_parallel_caps_workers(tmp_path, capsys, monkeypatch):
     import linebroadcast.cli as cli
 

@@ -9,7 +9,7 @@ from linebroadcast import Schedule, from_level, merge_upcalls, new, to_level, va
 from linebroadcast.bounds import ceil_log2, fromlevel_cost, tolevel_upper
 from linebroadcast.errors import OutOfRange, PreconditionViolated
 from linebroadcast import procedures
-from linebroadcast.procedures import _cbj_assign, _digit_reversed, _upcall_table
+from linebroadcast.procedures import _cbj_assign, _digit_reversals, _upcall_table
 
 
 def as_schedule(tree, u, frag, tag="frag"):
@@ -67,14 +67,16 @@ def test_grid_partition():
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_digit_reversed_matches_definition(k):
-    """_digit_reversed(k, k**p) lists w = 0..k**p - 1, each with its p base-k
-    digits read in reverse."""
+    """_digit_reversals(k, 5)[p] lists w = 0..k**p - 1, each with its p
+    base-k digits read in reverse."""
+    reversals = _digit_reversals(k, 5)
+    assert len(reversals) == 6
     for p in range(6):
         expected = []
         for w in range(k**p):
             digits = [(w // k**i) % k for i in range(p)]  # least significant first
             expected.append(sum(d * k ** (p - 1 - i) for i, d in enumerate(digits)))
-        assert _digit_reversed(k, k**p) == expected, (k, p)
+        assert reversals[p] == expected, (k, p)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -88,12 +90,12 @@ def test_delivery_order_is_k_stripes_of_window_positions(k):
         order = []
         for m in range(1, j + 1):
             stride = k ** (j - m)
-            windows = [0] if m == 1 else _digit_reversed(k, k ** (m - 1))
+            windows = _digit_reversals(k, m - 1)[-1]
             stripes = range(k) if m == 1 else range(1, k)
             this_round = [1 + (w * k + s) * stride for s in stripes for w in windows]
             assert set(this_round) == round_targets(k, j, m)
             order += this_round
-        window = _digit_reversed(k, k ** (j - 1))
+        window = _digit_reversals(k, j - 1)[-1]
         assert order == [1 + window[x] * k + s for s in range(k) for x in range(k ** (j - 1))]
         assert [window[b] for b in window] == list(range(k ** (j - 1)))
 
@@ -211,6 +213,48 @@ def test_sibling_relays_come_from_the_nearest_idle_informed_place(spread):
             callers.add(src)
         informed.update(step.dst)
     assert informed == {uid} | level_ids(t, j)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(spreads())
+def test_relays_come_from_the_nearest_qualifying_place(spread):
+    """Replayed call by call, each relay between two level-j places whose
+    path has 2(x+1) edges comes from the place nearest its target, the
+    lower on a tie, that qualifies: it lies in the target's level-(j-1-x)
+    subtree and outside its level-(j-x) subtree, was informed before the
+    step, is not an earlier caller in the step, and has a path clear of
+    every earlier call's edges. A step is replayed up to the originator's
+    call: a swap hands u a call placed earlier, whose first caller, busy
+    while the later calls were matched, the arrays no longer show."""
+    k, r, j, uid = spread
+    t = new(k, r)
+    u = t.vertex_by_id(uid)
+    frag = to_level(t, j, u)
+    rep = validate(as_schedule(t, u, frag), expected_informed={uid} | level_ids(t, j),
+                   assume_informed={uid})
+    assert rep.ok, rep.violations[:3]
+    base = (k**j - 1) // (k - 1)  # base + offset is the id of (j, offset)
+    informed = {uid}
+    for step in frag.steps:
+        callers, used = set(), set()
+        for src, dst, path in step.id_calls():
+            if src == uid:
+                break
+            span = k ** (len(path) // 2)  # the meeting vertex's leaves
+            lo = base + 1 + (dst - base - 1) // span * span
+            inner = base + 1 + (dst - base - 1) // (span // k) * (span // k)
+
+            def qualifies(v):
+                return (lo <= v < lo + span and not inner <= v < inner + span // k
+                        and v in informed and v not in callers
+                        and t.climb(v, dst, used) is not None)
+
+            d = abs(src - dst)
+            nearer = [v for v in range(dst - d, dst + d) if abs(v - dst) < d or v < src]
+            assert qualifies(src) and not any(map(qualifies, nearer)), (src, dst)
+            callers.add(src)
+            used.update(path)
+        informed.update(step.dst)
 
 
 # -- from_level --------------------------------------------------------------

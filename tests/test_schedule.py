@@ -264,13 +264,15 @@ def test_pass_writes_match_call_by_call_adds():
     the same calls added one by one would."""
     whole, single = relay_step(), relay_step()
     whole.add_child_calls([1, 2], [3, 6])
-    whole.add_sibling_calls([5, 8], [6, 10])
+    whole.add_relays([[5, 8], [6, 10]])
     whole.add_child_calls([], [])
-    whole.add_sibling_calls([], [])
-    for src, dst, path in [(1, 3, [3]), (2, 6, [6]), (5, 6, [5, 6]), (8, 10, [8, 10])]:
+    whole.add_relays([[], []])
+    whole.add_relays([[5, 9], [2, 3], [4, 2], [11, 6]])
+    for src, dst, path in [(1, 3, [3]), (2, 6, [6]), (5, 6, [5, 6]), (8, 10, [8, 10]),
+                           (5, 11, [5, 2, 4, 11]), (9, 6, [9, 3, 2, 6])]:
         single.add(src, dst, path)
     assert whole == single
-    assert list(whole.ends) == [2, 4, 6, 7, 8, 10, 12]
+    assert list(whole.ends) == [2, 4, 6, 7, 8, 10, 12, 16, 20]
 
 
 def test_schedules_compare_by_value():

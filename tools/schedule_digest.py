@@ -18,6 +18,10 @@ The families:
     the same trees;
   * wide-to_level: the same at r = 2 and k = 9..16, past the grid's
     k <= 8;
+  * wide-relays: to_level for j = 3..r from the root, the vertex (1, k),
+    the middle vertex of levels 2 and r-1 and the middle leaf, at r = 3
+    and k = 9..16 and at (9,4) and (10,4): cousin and wider relays past
+    the grid;
   * large-trees: lbckt on the 37 schedules of perfbench's `large-trees`
     workload (the root of every tree with 400 < n <= 50,000, and below
     (8,5) the last vertex of level 1, the middle vertex of level r-1 and
@@ -54,6 +58,7 @@ GRID = sorted(((k, r) for k in range(2, 9) for r in range(1, 6)),
 SMALL = [(k, r) for k, r in GRID if _size(k, r) <= 400]
 LARGE = [(k, r) for k, r in GRID if 400 < _size(k, r) <= 50_000]
 WIDE = [(k, 2) for k in range(9, 17)]
+WIDE_RELAYS = [(k, 3) for k in range(9, 17)] + [(9, 4), (10, 4)]
 ORACLE = sorted(((k, r) for k in range(2, 13) for r in range(1, 3) if _size(k, r) <= 13),
                 key=lambda kr: _size(*kr))
 
@@ -95,6 +100,16 @@ def families():
                     frag = to_level(tree, j, tree.vertex_by_id(vid))
                     yield (k, r, vid, j), _trace(frag.steps)
 
+    def wide_relays():
+        for k, r in WIDE_RELAYS:
+            tree = CompleteKTree(k, r)
+            picked = [(0, 1), (1, k), (2, (k**2 + 1) // 2),
+                      (r - 1, (k ** (r - 1) + 1) // 2), (r, (k**r + 1) // 2)]
+            for level, off in dict.fromkeys(picked):
+                u = tree.vertex(level, off)
+                for j in range(3, r + 1):
+                    yield (k, r, u.id, j), _trace(to_level(tree, j, u).steps)
+
     def large():
         for k, r in LARGE:
             tree = CompleteKTree(k, r)
@@ -120,6 +135,7 @@ def families():
     yield "small-alg3", small(alg3)
     yield "small-to_level", every_to_level(SMALL)
     yield "wide-to_level", every_to_level(WIDE)
+    yield "wide-relays", wide_relays()
     yield "large-trees", large()
     yield "root-alg2", root(alg2)
     yield "root-alg3", root(alg3)
