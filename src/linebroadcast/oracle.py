@@ -14,12 +14,16 @@ reachable next informed set with the fewest edges any call set reaching it
 uses. The last step has one option, the full set, so it is priced by the
 same pass with every uninformed vertex a destination, keeping one cost per
 edge state. Each search node tries its options in the order of a lower
-bound, the option's cost plus one edge per vertex still uninformed, and
-stops once that bound reaches its best value; the bound never exceeds the
-true cost, so the memo holds exact minima. The witness re-runs the pass
-with the step's destinations fixed, reads off every edge's state, and pairs
-senders with receivers where their paths meet to realize one call set at
-exactly that cost.
+bound and stops once that bound reaches its best value. An option's bound
+is its cost, plus one edge per vertex still uninformed, plus one more per
+leaf that its parent cannot reach in time: a one-edge call into a leaf
+comes from its parent, which sends at most once a step and only once
+informed, so a parent with more uninformed leaf children than steps left
+to send in leaves the rest to calls of two edges or more. The bound never
+exceeds the true cost, so the memo holds exact minima. The witness re-runs
+the pass with the step's destinations fixed, reads off every edge's state,
+and pairs senders with receivers where their paths meet to realize one
+call set at exactly that cost.
 """
 
 from __future__ import annotations
@@ -49,6 +53,11 @@ class _Searcher:
         ]
         self._spans = [slice(r.start, r.stop) for r in self.kids]
         self._inner = [v for v in range(tree.n, 0, -1) if self.kids[v]]
+        # the bits of each parent of leaves and of its children, all leaves
+        self._families = [
+            sum(1 << (v - 1) for v in (p, *self.kids[p]))
+            for p in self._inner if not self.kids[self.kids[p][0]]
+        ]
         self._interned: dict[tuple[int, ...], int] = {(0,): 0, (1,): 1}
         self._canon_cache: dict[int, int] = {}
         self._memo: dict[tuple[int, int], float] = {}
@@ -218,16 +227,34 @@ class _Searcher:
             tables[v] = table
         return tables[1].get(0, _INF)
 
+    def floor(self, mask: int, steps_left: int) -> int:
+        """A lower bound on `best(mask, steps_left)` that never exceeds it.
+
+        Each uninformed vertex receives one call of at least one edge. A
+        one-edge call into a leaf comes from its parent, which sends at
+        most once a step and only once informed: in steps_left steps, one
+        of them spent being informed if it is not yet. So of a family, a
+        parent of leaves and its children, each uninformed member past
+        steps_left is a leaf whose call costs at least one edge more.
+        """
+        low = self.n - mask.bit_count()
+        free = ~mask
+        for family in self._families:
+            over = (family & free).bit_count() - steps_left
+            if over > 0:
+                low += over
+        return low
+
     def best(self, mask: int, steps_left: int) -> float:
         """Fewest edges informing every vertex from mask within steps_left steps.
 
         One step from the end only the informed set `full` can follow, so
         `last_step` prices it directly. Otherwise the node tries its step
         options cheapest-bound first, where an option's bound is its cost
-        plus one edge per vertex it leaves uninformed (each must still
-        receive a call of at least one edge), and stops at the first bound
-        that reaches the best value found. No option it skips could beat
-        that value, so every memo entry is the exact minimum.
+        plus `floor` of the informed set it reaches with one step fewer,
+        and stops at the first bound that reaches the best value found.
+        No option it skips could beat that value, so every memo entry is
+        the exact minimum.
         """
         if mask == self.full:
             return 0
@@ -242,16 +269,16 @@ class _Searcher:
         if steps_left == 1:
             value = self.last_step(mask)
         else:
-            n = self.n
+            floor, rest = self.floor, steps_left - 1
             ranked = sorted(
-                (cost + n - nmask.bit_count(), cost, nmask)
+                (cost + floor(nmask, rest), cost, nmask)
                 for nmask, cost in self.step_options(mask).items()
             )
             value = _INF
             for bound, cost, nmask in ranked:
                 if bound >= value:
                     break
-                value = min(value, cost + self.best(nmask, steps_left - 1))
+                value = min(value, cost + self.best(nmask, rest))
         self._memo[key] = value
         return value
 

@@ -240,6 +240,11 @@ def test_alg3_root_time_is_limit():
         assert s.total_cost() <= math.floor(alg3_upper(k, r))
 
 
+def pin_ids(pins):
+    """name-k-r-uid per pin, so that a re-pinned digest keeps its test's id."""
+    return ["-".join(map(str, pin[:4])) for pin in pins]
+
+
 # Fan-up fold paths pinned byte for byte: SHA-256 of the JSON list of
 # steps, each a list of [source id, destination id, path], with the cost
 # and the step count. The first six are the operations whose fold search
@@ -281,7 +286,8 @@ SLOW_FOLDS = [
 ]
 
 
-@pytest.mark.parametrize("name,k,r,uid,cost,steps,digest", SLOW_FOLDS)
+@pytest.mark.parametrize("name,k,r,uid,cost,steps,digest", SLOW_FOLDS,
+                         ids=pin_ids(SLOW_FOLDS))
 def test_slow_fold_schedules_unchanged(name, k, r, uid, cost, steps, digest):
     t = new(k, r)
     s = {"alg2": alg2, "alg3": alg3}[name](t, t.vertex_by_id(uid))
@@ -321,7 +327,8 @@ BUILDER_PINS = [
 ]
 
 
-@pytest.mark.parametrize("name,k,r,uid,cost,steps,digest", BUILDER_PINS)
+@pytest.mark.parametrize("name,k,r,uid,cost,steps,digest", BUILDER_PINS,
+                         ids=pin_ids(BUILDER_PINS))
 def test_builder_schedules_unchanged(name, k, r, uid, cost, steps, digest):
     t = new(k, r)
     u = t.vertex_by_id(uid)

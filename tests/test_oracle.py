@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from linebroadcast import alg1, alg2, alg3, check_bracket, new, optimal_cost, validate
+from linebroadcast import alg1, alg2, alg3, check_bracket, lbckt, new, optimal_cost, validate
 from linebroadcast.bounds import ceil_log2
 from linebroadcast.errors import TooLarge
 from linebroadcast.oracle import _Searcher
@@ -109,6 +109,40 @@ def test_bounded_search_matches_the_unbounded_one(k, r):
         for uid in range(1, t.n + 1):
             cost, witness = optimal_cost(t, t.vertex_by_id(uid), time_budget=budget)
             assert cost == search(1 << (uid - 1), budget) == witness.total_cost(), (uid, budget)
+
+
+@pytest.mark.parametrize("k,r", SMALL_TREES)
+def test_floor_never_exceeds_the_optimum_on_every_mask(k, r):
+    t = new(k, r)
+    searcher, search = _Searcher(t), unbounded_search(t)
+    for mask in range(1, 1 << t.n):
+        for steps in range(1, 5):
+            assert searcher.floor(mask, steps) <= search(mask, steps), (mask, steps)
+
+
+_SEARCH32 = unbounded_search(_T32)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, (1 << _T32.n) - 1), st.integers(1, 4))
+def test_floor_never_exceeds_the_optimum_on_random_masks(mask, steps):
+    assert _Searcher(_T32).floor(mask, steps) <= _SEARCH32(mask, steps)
+
+
+UP_TO_15 = [(k, 1) for k in range(2, 15)] + [(2, 2), (3, 2), (2, 3)]  # every tree with n <= 15
+
+
+@pytest.mark.parametrize("k,r", UP_TO_15)
+def test_no_minimum_time_schedule_beats_the_optimum(k, r):
+    t = new(k, r)
+    budget = ceil_log2(t.n)
+    for uid in range(1, t.n + 1):
+        u = t.vertex_by_id(uid)
+        opt, _ = optimal_cost(t, u)
+        for name, sched in (("alg1", alg1(t, u)), ("alg2", alg2(t, u)),
+                            ("alg3", alg3(t, u)), ("lbckt", lbckt(t, u)[0])):
+            if sched.total_time() <= budget:
+                assert sched.total_cost() >= opt, (name, uid)
 
 
 def test_k4_r2_within_the_default_cap():
