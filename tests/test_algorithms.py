@@ -286,8 +286,7 @@ SLOW_FOLDS = [
 ]
 
 
-@pytest.mark.parametrize("name,k,r,uid,cost,steps,digest", SLOW_FOLDS,
-                         ids=pin_ids(SLOW_FOLDS))
+@pytest.mark.parametrize("name,k,r,uid,cost,steps,digest", SLOW_FOLDS)
 def test_slow_fold_schedules_unchanged(name, k, r, uid, cost, steps, digest):
     t = new(k, r)
     s = {"alg2": alg2, "alg3": alg3}[name](t, t.vertex_by_id(uid))
