@@ -5,9 +5,9 @@
 A point k,r,level is one `optimal_cost` solve on the complete k-ary tree
 of height r from the last vertex of that level, within ceil(log2 n) steps
 and with the search cap lifted to n. Each point runs in a Python process
-of its own, one at a time, and is killed after --cap seconds; --mem-cap
-MB sets the process's address-space limit, so that a solve that outgrows
-it stops with a MemoryError instead of crowding the machine. Per point it
+of its own, one at a time, and is killed after --cap seconds. Its address
+space is held to MEM_CAP_MB, so that a solve that outgrows it stops with a
+MemoryError instead of crowding the machine. Per point it
 prints the optimum, the solve's wall time, the process's peak RSS (the
 interpreter's ~20 MB included), the number of `_Searcher.best` and
 `step_options` calls, the memo's entries and the final `_canon_cache`
@@ -28,6 +28,7 @@ from pathlib import Path
 from time import perf_counter
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+MEM_CAP_MB = 2048
 COLUMNS = ("optimum", "seconds", "peak_mb", "best_calls", "option_calls",
            "memo", "canon_cache")
 
@@ -79,13 +80,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("points", nargs="+", type=point, metavar="k,r,level")
     parser.add_argument("--cap", type=float, default=120, help="seconds per point")
-    parser.add_argument("--mem-cap", type=int, default=2048, metavar="MB",
-                        help="address-space limit per point")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.child:
-        limit = args.mem_cap << 20
+        limit = MEM_CAP_MB << 20
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
         print(json.dumps(solve(*args.points[0])))
         return 0
@@ -93,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'point':10} {'n':>4} " + " ".join(f"{c:>12}" for c in COLUMNS))
     for k, r, level in args.points:
         label = f"{k},{r},{level}"
-        command = [sys.executable, __file__, "--child", "--mem-cap", str(args.mem_cap), label]
+        command = [sys.executable, __file__, "--child", label]
         try:
             done = subprocess.run(command, capture_output=True, text=True, timeout=args.cap)
         except subprocess.TimeoutExpired:
