@@ -156,27 +156,21 @@ def _star_rounds(tree: CompleteKTree, u: VertexRef, informed: bytearray,
                 c = informed.find(1, c + 1, k * phi - k + 2)
 
         step = Step(tree)
-        src_ids, dst_ids, ends, edges = step.src, step.dst, step.ends, step.edges
         used_src: set[int] = set()
         used_edges: set[int] = set()
 
-        def add(src: int, dst: int, path) -> None:
-            """Step.add, written out, for the calls placed by climbing."""
-            src_ids.append(src)
-            dst_ids.append(dst)
-            edges.extend(path)
-            ends.append(len(edges))
+        def place(src: int, dst: int) -> bool:
+            """Place the call src -> dst by climbing, if its path is clear."""
+            path = climb(src, dst, used_edges)
+            if path is None:
+                return False
+            step.add(src, dst, path)
             used_src.add(src)
             used_edges.update(path)
             claimed[dst] = 1
             dirty.update((src, dst, (src - 2) // k + 1, (dst - 2) // k + 1))
             dirty.update([(e - 2) // k + 1 for e in path])
-
-        def place(src: int, dst: int) -> bool:
-            path = climb(src, dst, used_edges)
-            if path is not None:
-                add(src, dst, path)
-            return path is not None
+            return True
 
         # deep-originator assist: keep feeding level 1 while it is incomplete
         if deep and u.id not in used_src:

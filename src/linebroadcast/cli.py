@@ -22,7 +22,7 @@ from .algorithms import alg1, alg2, alg3, lbckt, lbckt_case
 from .errors import (InvalidParams, LineBroadcastError, OutOfRange, Overflow,
                      SameVertex, ScheduleFormatError, TooLarge)
 from .ktree import CompleteKTree, VertexRef
-from .oracle import ORACLE_CAP, check_bracket
+from .oracle import check_bracket
 from .procedures import from_level, to_level
 from .schedule import Call, Schedule, validate
 
@@ -322,11 +322,7 @@ def cmd_sweep(args) -> int:
 def cmd_oracle(args) -> int:
     tree = CompleteKTree(args.k, args.r)
     u = tree.vertex_by_id(args.originator)
-    try:
-        bracket = check_bracket(tree, u, cap=args.cap, time_budget=args.budget)
-    except TooLarge as exc:
-        print(f"too large: {exc}", file=sys.stderr)
-        return 5
+    bracket = check_bracket(tree, u, time_budget=args.budget)
     opt, witness = bracket.optimal, bracket.witness
     print(f"k={tree.k} r={tree.r} n={tree.n} originator={u.id}")
     print(f"optimal_cost={opt} time={witness.total_time()}")
@@ -384,7 +380,6 @@ def build_parser() -> _Parser:
     orc.add_argument("--r", type=int, required=True)
     orc.add_argument("--originator", type=int, default=1)
     orc.add_argument("--budget", type=int, default=None)
-    orc.add_argument("--cap", type=int, default=ORACLE_CAP)
     orc.set_defaults(func=cmd_oracle)
 
     return parser

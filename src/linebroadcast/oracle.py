@@ -353,7 +353,6 @@ class BracketReport:
 def check_bracket(
     tree: CompleteKTree,
     u: VertexRef,
-    cap: int = ORACLE_CAP,
     time_budget: int | None = None,
 ) -> BracketReport:
     """Verify the bound bracket around the searched optimum for one instance.
@@ -362,7 +361,7 @@ def check_bracket(
     default), and the schemes are compared against it at that budget.
     """
     budget = ceil_log2(tree.n) if time_budget is None else time_budget
-    opt, witness = optimal_cost(tree, u, time_budget=budget, cap=cap)
+    opt, witness = optimal_cost(tree, u, time_budget=budget)
     witness_ok = validate(witness).ok
 
     costs = {}

@@ -45,12 +45,15 @@ the batch's earlier stripes over them. A stretch is written with one
 comprehension per edge, its paths by arithmetic, and no per-group state
 is kept. The sibling relays (round j) need no edge test; a wider
 stretch tests its callers against the step's sources, as an idle caller's
-path is clear. The targets the runs leave, carried or in those groups,
-take a per-target rule: a scan of the k-block for siblings, a
-nearest-first match over the informed ids for wider relays, whose
-cousin paths, (caller, its parent, the target's parent, target), are
-tested by arithmetic and whose wider paths and the originator's call are
-tested while climbing ids (CompleteKTree.climb). The originator's swap
+path is clear, and from the first stretch with a busy caller its scale
+falls back to the per-target rule. That rule is one at every scale: the
+nearest idle informed vertex of the target's level-lvl subtree, outside
+its level-(lvl+1) subtree, whose path is clear, read off the sorted
+informed ids. It serves the targets the runs leave, carried or in those
+groups or in a run that fell back, and the mop-up through the root.
+Cousin paths, (caller, its parent, the target's parent, target), are
+tested by arithmetic, and the other paths and the originator's call
+while climbing ids (CompleteKTree.climb). The originator's swap
 reads its distance to a destination off the two ids, so it climbs only
 for a call it would shorten by more than its best gain so far.
 A call is recorded only for a placement that fits. The fan-up table
@@ -186,8 +189,10 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
     another place of its block) and the only edges in use are those above
     its earlier callers and targets. At a wider scale a run's caller may
     have called at a finer one, so a run's callers are tested against the
-    step's sources with one isdisjoint, and where one is busy its group
-    takes the per-target rule from that call on at that scale. An idle
+    step's sources with one isdisjoint. Where one is busy, that run's
+    groups and those of the scale's later runs take the per-target rule,
+    which loses nothing: in a prefix group the nearest idle caller is the
+    run's, as above, and there is none once g >= h. An idle
     caller's path is clear. A path uses an edge only if one of its ends
     lies below it; below the caller's place (the level-m subtree it is
     the first leaf of) no vertex but the caller is informed and the
@@ -200,13 +205,16 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
     level-j ancestor when u lies below level j; it is added before them
     if that ancestor called or was called.
 
-    The per-target rule serves the carried targets, the targets in their
-    groups or the originator's, a run's targets where it was spoiled, and
-    whatever a scale leaves for the next, wider one. In the sibling pass
-    it scans the target's block outward for a place informed before the
-    step, reading the invariant above. At wider scales it matches the
-    nearest idle informed vertex of the target's level-lvl subtree outside
-    its level-(lvl+1) subtree whose path is clear: a cousin match
+    The per-target rule is one rule at every scale, the mop-up through
+    the root included: q's caller is the nearest idle informed vertex of
+    its level-lvl subtree outside its level-(lvl+1) subtree, the lower on
+    a tie, whose path is clear. The informed vertices are read off the
+    level-j ids informed before the step (the invariant above), sorted
+    the first time a step needs them. The rule serves the carried
+    targets, the targets in their groups or the originator's, the runs
+    that fell back, and whatever a scale leaves for the next, wider one.
+    A sibling match (lvl = j - 1) walks q's k-block outward from q, and
+    its path, (caller, q), crosses no edge the passes keep; a cousin match
     (lvl = j - 2) tests its four edges, caller, caller's parent, target's
     parent and target, by arithmetic; a wider one tests while it climbs,
     the way down from the meeting vertex once per target and each caller
@@ -268,30 +276,12 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
         src_ids, dst_ids, ends, edges = step.src, step.dst, step.ends, step.edges
         used_sources: set[int] = set()
         used_edges: set[int] = set()
-        carried_ids = {base + q_off for q_off in carried}
-
-        def scan(q_off: int) -> tuple[int, int] | None:
-            """The sibling pass's per-target rule: the path from the place
-            of q's k-block nearest q, the lower on a tie, that was informed
-            before this step (an entry before the batch's start and not
-            carried, or the originator's) and is not a caller yet, to q."""
-            qid = base + q_off
-            b, p = divmod(q_off - 1, k)
-            x = window[b]
-            for d in range(1, k):
-                for c_p in (p - d, p + d):
-                    e = c_p * blocks + x
-                    sid = qid + c_p - p
-                    if (0 <= c_p < k and (e == gap or e < start and sid not in carried_ids)
-                            and sid not in used_sources):
-                        return sid, qid
-            return None
 
         def match_in_range(q_off: int, lvl: int) -> tuple[int, ...] | None:
             """The path to q from the idle informed caller among the
             level-lvl subtree's vertices outside q's level-(lvl+1) subtree,
-            nearest first, whose path is clear; it starts with the
-            caller's id."""
+            nearest first, the lower on a tie, whose path is clear; it
+            starts with the caller's id."""
             nonlocal pool_sorted
             qid = base + q_off
             if not pool_sorted:
@@ -332,24 +322,21 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
                     return (*up, *down)
             return None
 
-        def place(path: tuple[int, ...]) -> None:
-            """Record the call along path between two level-j vertices, up
-            from the caller's edge and down to the target's: Step.add,
-            written out, as this runs once per call. Those two edges need
-            not be kept in use (see the docstring)."""
+        def match(q_off: int, lvl: int) -> bool:
+            """The per-target rule at scale lvl: record the call along
+            match_in_range's path, if there is one, up from the caller's
+            edge and down to q's. That is Step.add, written out, as this
+            runs once per call; those two edges need not be kept in use
+            (see the docstring)."""
+            path = match_in_range(q_off, lvl)
+            if path is None:
+                return False
             src_ids.append(path[0])
             dst_ids.append(path[-1])
             edges.extend(path)
             ends.append(len(edges))
             used_sources.add(path[0])
             used_edges.update(path[1:-1])
-
-        def match(q_off: int) -> bool:
-            """The per-target rule at the pass's scale, lvl."""
-            path = scan(q_off) if lvl == j - 1 else match_in_range(q_off, lvl)
-            if path is None:
-                return False
-            place(path)
             return True
 
         # the batch in order: targets of the per-target rule, (lvl, q_off),
@@ -406,46 +393,38 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
                 break
             unit = k ** (j - 1 - lvl)
             left = []
-            spoiled: set[int] = set()  # groups where a call took the per-target rule
+            # whether a run at this scale met a busy caller: from that run
+            # on, every group takes the per-target rule
+            spoiled = False
             for item in todo:
                 if item[0] < lvl:
                     left.append(item)  # for a coarser scale
                     continue
                 if len(item) == 2:
-                    if not match(item[1]):
+                    if not match(item[1], lvl):
                         left.append(item)
                     continue
                 _, s, g, x0, x1 = item
                 groups = orders[lvl][x0:x1]
-                if s > 2 * g:
+                if not spoiled:
+                    if s <= 2 * g:  # every place of their groups calls already
+                        left += [(lvl - 1, 1 + (G * k + s) * unit) for G in groups]
+                        continue
                     # each caller 2g + 1 places below its target: its
                     # ancestors up to the group, then the target's down
                     c = s - 1 - 2 * g
                     ways = [(mul, first + c * per) for mul, first, per in rungs[lvl]]
                     ways += [(mul, first + s * per) for mul, first, per in reversed(rungs[lvl])]
                     run = [[G * mul + add for G in groups] for mul, add in ways]
-                    if lvl == j - 1 or not spoiled and used_sources.isdisjoint(run[0]):
+                    if lvl == j - 1 or used_sources.isdisjoint(run[0]):
                         used_sources.update(run[0])
                         used_edges.update(*run[1:-1])
                         step.add_relays(run)
                         continue
-                    calls = zip(*run)
-                elif not spoiled:  # every place of their groups calls already
-                    left += [(lvl - 1, 1 + (G * k + s) * unit) for G in groups]
-                    continue
-                else:
-                    calls = repeat(None)
-                # call by call: a group whose caller calls already, or
-                # where a call took the per-target rule, takes it from here
-                for x, G, path in zip(range(x0, x1), groups, calls):
+                    spoiled = True
+                for G in groups:
                     q_off = 1 + (G * k + s) * unit
-                    if x in spoiled or path is not None and path[0] in used_sources:
-                        spoiled.add(x)
-                        if not match(q_off):
-                            left.append((lvl - 1, q_off))
-                    elif path is not None:
-                        place(path)
-                    else:
+                    if not match(q_off, lvl):
                         left.append((lvl - 1, q_off))
             todo = left
         unserved = [q_off for _, q_off in todo]
@@ -468,14 +447,7 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
                 used_sources.add(u.id)
                 used_edges.update(path)
                 unserved = unserved[1:]
-        left = []
-        for q_off in unserved:
-            path = match_in_range(q_off, 0)
-            if path is None:
-                left.append(q_off)
-            else:
-                place(path)
-        unserved = left
+        unserved = [q_off for q_off in unserved if not match(q_off, 0)]
 
         # swap: if the originator idled, let it absorb the priciest call
         # it can run cheaper, edge-checked against the rest of the step.

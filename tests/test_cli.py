@@ -3,8 +3,9 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from linebroadcast import validate
+from linebroadcast import alg1, alg2, alg3, lbckt, new, validate
 from linebroadcast.errors import LineBroadcastError, ScheduleFormatError
 from linebroadcast.cli import (
     CSV_HEADER,
@@ -68,19 +69,35 @@ def test_run_deviation_exit(capsys):
     assert "valid=true" in out
 
 
-def test_json_roundtrip_revalidates_identically():
-    import contextlib
-    import io
+BUILDERS = {"alg1": alg1, "alg2": alg2, "alg3": alg3, "lbckt": lambda t, u: lbckt(t, u)[0]}
 
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        main(["run", "--k", "2", "--r", "3", "--alg", "auto", "--format", "json"])
-    data = json.loads(buf.getvalue())
-    sched = schedule_from_dict(data)
+
+@st.composite
+def built(draw):
+    """(builder name, k, r, originator id) with n <= 400."""
+    k = draw(st.integers(2, 16))
+    r = draw(st.integers(1, max(r for r in range(1, 9) if (k ** (r + 1) - 1) // (k - 1) <= 400)))
+    return (draw(st.sampled_from(sorted(BUILDERS))), k, r,
+            draw(st.integers(1, (k ** (r + 1) - 1) // (k - 1))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(built())
+@example(("alg1", 3, 2, 5))  # flagged: the deep originator opens with a relay
+@example(("alg2", 2, 2, 2))  # flagged, with a deferred fan-up step
+def test_json_roundtrip_revalidates_identically(drawn):
+    """A schedule read back from its JSON text has the same steps, tag and
+    deviations, writes the same JSON and re-validates the same."""
+    name, k, r, uid = drawn
+    tree = new(k, r)
+    sched = BUILDERS[name](tree, tree.vertex_by_id(uid))
     rep = validate(sched)
-    again = schedule_to_dict(sched, rep.ok)
-    assert again == data
-    assert rep == validate(sched)
+    data = json.loads(json.dumps(schedule_to_dict(sched, rep.ok)))
+    back = schedule_from_dict(data)
+    assert back.steps == sched.steps
+    assert (back.algorithm_tag, back.deviations) == (sched.algorithm_tag, sched.deviations)
+    assert schedule_to_dict(back, rep.ok) == data
+    assert validate(back) == rep
 
 
 def test_from_dict_rejects_wrong_path():

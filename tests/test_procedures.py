@@ -225,7 +225,9 @@ def test_relays_come_from_the_nearest_qualifying_place(spread):
     step, is not an earlier caller in the step, and has a path clear of
     every earlier call's edges. A step is replayed up to the originator's
     call: a swap hands u a call placed earlier, whose first caller, busy
-    while the later calls were matched, the arrays no longer show."""
+    while the later calls were matched, the arrays no longer show. The
+    swap's search reads the calls other than u's in non-decreasing path
+    length, so they come in that order."""
     k, r, j, uid = spread
     t = new(k, r)
     u = t.vertex_by_id(uid)
@@ -236,6 +238,8 @@ def test_relays_come_from_the_nearest_qualifying_place(spread):
     base = (k**j - 1) // (k - 1)  # base + offset is the id of (j, offset)
     informed = {uid}
     for step in frag.steps:
+        lengths = [len(path) for src, _, path in step.id_calls() if src != uid]
+        assert lengths == sorted(lengths), lengths
         callers, used = set(), set()
         for src, dst, path in step.id_calls():
             if src == uid:
