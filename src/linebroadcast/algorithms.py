@@ -62,8 +62,7 @@ def alg1(tree: CompleteKTree, u: VertexRef) -> Schedule:
         sched.append_step(step)
         informed[1] = 1
         sched.deviations.append(f"alg1:originator-relay-cost={step.cost()}")
-    for step in _star_rounds(tree, u, informed, len(sched.steps)):
-        sched.append_step(step)
+    sched.steps += _star_rounds(tree, u, informed, len(sched.steps))
     overrun = sched.total_time() - r * ceil_log2(k + 1)
     if overrun > 0:
         sched.deviations.append(f"alg1:time-over-rounds=+{overrun}")
@@ -318,6 +317,19 @@ def _star_rounds(tree: CompleteKTree, u: VertexRef, informed: bytearray,
 # alg2: spread to level r-1, fan up, fill the leaf stars
 # ---------------------------------------------------------------------------
 
+def _spread_and_fold(sched: Schedule, j: int) -> bool:
+    """Append to_level(j) from the originator with the fan-up to levels
+    0..j-1 folded into its last step, then the step of the fan-up calls
+    the fold deferred, if any; True when there is one."""
+    tree, u = sched.tree, sched.originator
+    spread = to_level(tree, j, u)
+    merged, deferred = merge_upcalls(tree, j, u, spread.steps)
+    sched.steps += merged
+    if len(deferred):
+        sched.append_step(deferred)
+    return len(deferred) > 0
+
+
 def alg2(tree: CompleteKTree, u: VertexRef) -> Schedule:
     k, r = tree.k, tree.r
     sched = Schedule(tree, u, "alg2")
@@ -327,21 +339,14 @@ def alg2(tree: CompleteKTree, u: VertexRef) -> Schedule:
             step = Step(tree)
             step.add(u.id, 1, tree.climb(u.id, 1))
             sched.append_step(step)
-    else:
-        spread = to_level(tree, r - 1, u)
-        merged, deferred = merge_upcalls(tree, r - 1, u, spread.steps)
-        for step in merged:
-            sched.append_step(step)
-        if len(deferred):
-            sched.append_step(deferred)
-            sched.deviations.append("alg2:fromlevel-deferred-step")
+    elif _spread_and_fold(sched, r - 1):
+        sched.deviations.append("alg2:fromlevel-deferred-step")
     # the leaf stars are alg1's last round, with every inner vertex informed
     first_leaf = tree.vertex_id(r, 1)
     informed = bytearray(tree.n + 1)
     informed[1:first_leaf] = bytes([1]) * (first_leaf - 1)
     informed[u.id] = 1
-    for step in _star_rounds(tree, u, informed, (r - 1) * ceil_log2(k + 1)):
-        sched.append_step(step)
+    sched.steps += _star_rounds(tree, u, informed, (r - 1) * ceil_log2(k + 1))
     return sched
 
 
@@ -352,12 +357,7 @@ def alg2(tree: CompleteKTree, u: VertexRef) -> Schedule:
 def alg3(tree: CompleteKTree, u: VertexRef) -> Schedule:
     r = tree.r
     sched = Schedule(tree, u, "alg3")
-    spread = to_level(tree, r, u)
-    merged, deferred = merge_upcalls(tree, r, u, spread.steps)
-    for step in merged:
-        sched.append_step(step)
-    if len(deferred):
-        sched.append_step(deferred)
+    _spread_and_fold(sched, r)
     limit = ceil_log2(tree.n)
     overrun = sched.total_time() - limit
     if overrun > 0:

@@ -56,11 +56,6 @@ def lbckt_case(k: int, r: int) -> DispatchCase:
     return DispatchCase(f"alg{number}", number, (limit, alg1_time, alg2_time))
 
 
-def time_limit(n: int) -> int:
-    """Step budget of a minimum-time broadcast on n vertices."""
-    return ceil_log2(n)
-
-
 def farley_bound(n: int) -> int:
     """Cost ceiling of the generic minimum-time scheme: (n-1) * ceil(log2 n)."""
     if n < 2:
@@ -200,7 +195,7 @@ def report(k: int, r: int, leaf_originator: bool = False) -> BoundsReport:
         k=k,
         r=r,
         n=n,
-        time_limit=time_limit(n),
+        time_limit=ceil_log2(n),
         farley=farley_bound(n),
         lower=lower_bound(k, r, leaf_originator),
         case=lbckt_case(k, r),

@@ -54,13 +54,13 @@ def schedule_to_dict(schedule: Schedule, valid: bool) -> dict:
         "algorithm": schedule.algorithm_tag,
         "steps": [
             {
-                "t": step.t,
+                "t": t,
                 "calls": [
                     {"src": s, "dst": d, "path": path, "cost": len(path)}
                     for s, d, path in step.id_calls()
                 ],
             }
-            for step in schedule.steps
+            for t, step in enumerate(schedule.steps, 1)
         ],
         "total_time": schedule.total_time(),
         "total_cost": schedule.total_cost(),
@@ -106,9 +106,14 @@ def schedule_from_dict(data: dict) -> Schedule:
         tree = CompleteKTree(k, r)
     except (InvalidParams, Overflow) as exc:
         raise ScheduleFormatError(f"schedule: 'k' {k} and 'r' {r} make no tree: {exc}") from exc
-    sched = Schedule(tree, _vertex(tree, "schedule", data, "originator"),
-                     data.get("algorithm", ""))
-    sched.deviations = list(data.get("deviations", []))
+    algorithm, deviations = data.get("algorithm", ""), data.get("deviations", [])
+    if not isinstance(algorithm, str):
+        raise ScheduleFormatError(f"schedule: 'algorithm' is not a string: {algorithm!r}")
+    if not isinstance(deviations, list) or not all(isinstance(d, str) for d in deviations):
+        raise ScheduleFormatError(
+            f"schedule: 'deviations' is not a list of strings: {deviations!r}")
+    sched = Schedule(tree, _vertex(tree, "schedule", data, "originator"), algorithm,
+                     deviations=list(deviations))
     for t, step in enumerate(_listed("schedule", data, "steps"), 1):
         if not isinstance(step, dict):
             raise ScheduleFormatError(f"step {t} is not an object: {step!r}")
@@ -151,26 +156,27 @@ def _build_run_schedule(tree, u, alg: str):
         sched = {"alg1": alg1, "alg2": alg2, "alg3": alg3}[alg](tree, u)
         return sched, case.number, None, None
     kind, _, arg = alg.partition(":")
-    if kind not in ("tolevel", "fromlevel") or not arg.lstrip("-").isdigit():
+    if kind not in ("tolevel", "fromlevel"):
         raise UsageError(f"unknown algorithm {alg!r}")
-    j = int(arg)
-    if kind == "tolevel":
-        frag = to_level(tree, j, u)
-        sched = Schedule(tree, u, f"tolevel:{j}")
-        for step in frag.steps:
-            sched.append_step(step)
-        expected = {u.id} | {v.id for v in tree.level_vertices(j)}
-        return sched, case.number, None, expected
-    # from_level checks j against [1, r] before the level is listed
-    frag = from_level(tree, j, u)
+    j = _parse_int(arg, "level")
+    # each procedure checks j against its range before the level is listed
+    frag = (to_level if kind == "tolevel" else from_level)(tree, j, u)
+    sched = Schedule(tree, u, f"{kind}:{j}", frag.steps)
     level_ids = {v.id for v in tree.level_vertices(j)}
-    sched = Schedule(tree, u, f"fromlevel:{j}")
-    for step in frag.steps:
-        sched.append_step(step)
     expected = {u.id} | level_ids
+    if kind == "tolevel":
+        return sched, case.number, None, expected
     for lvl in range(j):
         expected |= {v.id for v in tree.level_vertices(lvl)}
     return sched, case.number, level_ids, expected
+
+
+def _print_steps(schedule: Schedule) -> None:
+    """One trace line per step, numbered from 1."""
+    for t, step in enumerate(schedule.steps, 1):
+        line = ", ".join(f"{s}->{d} path={path} cost={len(path)}"
+                         for s, d, path in step.id_calls())
+        print(f"t={t}: {line}")
 
 
 def cmd_run(args) -> int:
@@ -178,19 +184,15 @@ def cmd_run(args) -> int:
     u = tree.vertex_by_id(args.originator)
     sched, case_number, assume, expected = _build_run_schedule(tree, u, args.alg)
     report = validate(sched, assume_informed=assume, expected_informed=expected)
-    limit = bounds.time_limit(tree.n)
-    fragment = expected is not None
-    within = fragment or sched.total_time() <= limit
+    limit = bounds.ceil_log2(tree.n)
+    within = expected is not None or sched.total_time() <= limit
 
     if args.format == "json":
         print(json.dumps(schedule_to_dict(sched, report.ok), indent=2))
     else:
         print(f"k={tree.k} r={tree.r} n={tree.n} originator={u.id} "
               f"algorithm={sched.algorithm_tag} case={case_number}")
-        for step in sched.steps:
-            line = ", ".join(f"{s}->{d} path={path} cost={len(path)}"
-                             for s, d, path in step.id_calls())
-            print(f"t={step.t}: {line}")
+        _print_steps(sched)
         print(f"total_time={sched.total_time()} time_limit={limit} "
               f"total_cost={sched.total_cost()} valid={str(report.ok).lower()} "
               f"deviations=[{';'.join(sched.deviations)}]")
@@ -326,10 +328,7 @@ def cmd_oracle(args) -> int:
     opt, witness = bracket.optimal, bracket.witness
     print(f"k={tree.k} r={tree.r} n={tree.n} originator={u.id}")
     print(f"optimal_cost={opt} time={witness.total_time()}")
-    for step in witness.steps:
-        line = ", ".join(f"{s}->{d} path={path} cost={len(path)}"
-                         for s, d, path in step.id_calls())
-        print(f"t={step.t}: {line}")
+    _print_steps(witness)
     print(f"lower_bound={str(bracket.lower)} ({_frac_decimal(bracket.lower)})")
     print(f"algorithm_costs=" + ",".join(
         f"{name}:{cost}" for name, cost in sorted(bracket.algorithm_costs.items())))

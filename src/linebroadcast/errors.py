@@ -21,10 +21,6 @@ class SameVertex(LineBroadcastError):
     """A path between a vertex and itself was requested."""
 
 
-class PreconditionViolated(LineBroadcastError):
-    """A procedure was started from a state it does not support."""
-
-
 class TooLarge(LineBroadcastError):
     """The instance exceeds the exhaustive-search cap."""
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algorithms import alg1, alg2, alg3
-from .bounds import ceil_log2, lbckt_case, lower_bound, report
+from .bounds import ceil_log2, report
 from .errors import OutOfRange, TooLarge
 from .ktree import CompleteKTree, VertexRef
 from .schedule import Schedule, Step, validate
@@ -371,14 +371,12 @@ def check_bracket(
         costs[name] = sched.total_cost()
         times[name] = sched.total_time()
 
-    case = lbckt_case(tree.k, tree.r)
     rep = report(tree.k, tree.r)
     upper = rep.dispatched_upper()
-    low = lower_bound(tree.k, tree.r)
 
     ok = (
         witness_ok
-        and low <= opt
+        and rep.lower <= opt
         and all(opt <= costs[name] for name in costs if times[name] <= budget)
         and opt <= math.floor(upper)
     )
@@ -388,10 +386,10 @@ def check_bracket(
         n=tree.n,
         originator=u.id,
         optimal=opt,
-        lower=low,
+        lower=rep.lower,
         algorithm_costs=costs,
         algorithm_times=times,
-        dispatched_label=case.label,
+        dispatched_label=rep.case.label,
         dispatched_upper=upper,
         ok=ok,
         witness=witness,

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import itemgetter
 
-from .errors import OutOfRange, PreconditionViolated
+from .errors import OutOfRange
 from .ktree import CompleteKTree, VertexRef
 from .schedule import Step
 
@@ -85,9 +85,6 @@ class Fragment:
     """A run of consecutive steps meant to be spliced into a schedule."""
 
     steps: list[Step]
-
-    def duration(self) -> int:
-        return len(self.steps)
 
     def cost(self) -> int:
         return sum(step.cost() for step in self.steps)
@@ -530,27 +527,14 @@ def _upcall_table(k: int, j: int) -> list[tuple[range, range, list[tuple[int, ..
     return table
 
 
-def from_level(
-    tree: CompleteKTree,
-    j: int,
-    u: VertexRef,
-    informed: set[int] | None = None,
-) -> Fragment:
-    """One step of fan-up calls informing all of levels 0..j-1.
-
-    When an informed set is supplied, all of level j must already be in it.
-    The call aimed at u's own vertex is omitted.
-    """
+def from_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
+    """One step of fan-up calls from level j, j in [1, r], informing all of
+    levels 0..j-1. Its sources need all of level j informed before it,
+    which validate checks, given level j as assume_informed; the call
+    aimed at u's own vertex is omitted."""
     if not 1 <= j <= tree.r:
         raise OutOfRange(f"level {j} not in [1, {tree.r}]")
     base = tree.vertex_id(j, 1) - 1
-    if informed is not None:
-        missing = [vid for vid in range(base + 1, base + tree.k**j + 1)
-                   if vid not in informed]
-        if missing:
-            raise PreconditionViolated(
-                f"{len(missing)} level-{j} vertices uninformed (first: {missing[:5]})"
-            )
     step = Step(tree)
     for i, (leaves, tids, paths) in enumerate(_upcall_table(tree.k, j), 1):
         calls = list(zip(leaves, tids, paths))

@@ -71,16 +71,15 @@ class Step:
     """The calls of one time unit, as parallel arrays.
 
     src[i] and dst[i] are call i's end ids, and its path is
-    edges[ends[i - 1]:ends[i]] (from 0 for the first call). t is the step's
-    number in its schedule, 0 outside one. Iterating a step gives its calls
+    edges[ends[i - 1]:ends[i]] (from 0 for the first call). Its number is
+    its position in its schedule, from 1. Iterating a step gives its calls
     as Call views, made with the tree's levels and offsets.
     """
 
-    __slots__ = ("tree", "t", "src", "dst", "ends", "edges")
+    __slots__ = ("tree", "src", "dst", "ends", "edges")
 
-    def __init__(self, tree: CompleteKTree, t: int = 0):
+    def __init__(self, tree: CompleteKTree):
         self.tree = tree
-        self.t = t
         self.src = array("q")
         self.dst = array("q")
         self.ends = array("q")
@@ -129,7 +128,7 @@ class Step:
 
     def copy(self) -> "Step":
         """A step with copies of the arrays, to change without changing this one."""
-        out = Step(self.tree, self.t)
+        out = Step(self.tree)
         out.src, out.dst, out.ends, out.edges = (
             self.src[:], self.dst[:], self.ends[:], self.edges[:])
         return out
@@ -171,13 +170,13 @@ class Step:
     def __eq__(self, other):
         if not isinstance(other, Step):
             return NotImplemented
-        return ((self.t, self.src, self.dst, self.ends, self.edges)
-                == (other.t, other.src, other.dst, other.ends, other.edges))
+        return ((self.src, self.dst, self.ends, self.edges)
+                == (other.src, other.dst, other.ends, other.edges))
 
     __hash__ = None  # the arrays can change
 
     def __repr__(self):
-        return f"Step(t={self.t}, calls={len(self)}, cost={self.cost()})"
+        return f"Step(calls={len(self)}, cost={self.cost()})"
 
 
 class ViolationKind(str, enum.Enum):
@@ -220,14 +219,12 @@ class Schedule:
     def append_step(self, calls: Step | Iterable[Call]) -> "Schedule":
         """Append one step (no validation happens here; see validate).
 
-        A Step built elsewhere is appended with its arrays shared, not
-        copied; hand-made Calls are packed into arrays.
+        A Step built elsewhere is appended itself, not copied; hand-made
+        Calls are packed into a new one.
         """
-        step = Step(self.tree, len(self.steps) + 1)
-        if isinstance(calls, Step):
-            step.src, step.dst, step.ends, step.edges = (
-                calls.src, calls.dst, calls.ends, calls.edges)
-        else:
+        step = calls
+        if not isinstance(step, Step):
+            step = Step(self.tree)
             for c in calls:
                 step.add(c.src.id, c.dst.id, c.path)
         self.steps.append(step)
@@ -355,7 +352,7 @@ def validate(
     violations: list[Violation] = []
     timeline: list[tuple[int, int]] = []
 
-    for step in schedule.steps:
+    for t, step in enumerate(schedule.steps, 1):
         src, dst = step.src.tolist(), step.dst.tolist()
         ends, flat = step.ends.tolist(), step.edges.tolist()
         received = set(dst)
@@ -367,9 +364,9 @@ def validate(
                 and len(set(src)) == len(src)
                 and len(set(flat)) == len(flat)
                 and next(_off_path(tree, src, dst, ends, flat), None) is None):
-            violations += _step_violations(tree, step.t, informed, src, dst, ends, flat)
+            violations += _step_violations(tree, t, informed, src, dst, ends, flat)
         informed |= received
-        timeline.append((step.t, len(informed)))
+        timeline.append((t, len(informed)))
 
     if expected_informed is None:
         # every id in [1, n] is expected; the missing ones are listed only

@@ -214,6 +214,34 @@ def test_leaf_stars_match_the_call_by_call_rule_on_drawn_trees(start):
     assert informed == bytes([0]) + bytes([1]) * t.n
 
 
+@st.composite
+def alg1_starts(draw):
+    """(k, r, an originator id) with k up to 16 and n <= 1,500."""
+    k = draw(st.integers(2, 16))
+    r = draw(st.integers(1, max(r for r in range(1, 11) if tree_size(k, r) <= 1500)))
+    return k, r, draw(st.integers(1, tree_size(k, r)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(alg1_starts())
+def test_alg1_feeds_go_to_the_lowest_open_child(start):
+    """In an alg1 step every one-edge call from a parent to its child goes
+    to the parent's lowest-id child that was not informed before the step
+    and not received earlier in it, read off the step arrays."""
+    k, r, uid = start
+    t = new(k, r)
+    taken = bytearray(t.n + 1)  # informed, or received earlier in the step
+    taken[uid] = 1
+    for step in alg1(t, t.vertex_by_id(uid)).steps:
+        at = 0
+        for src, dst, end in zip(step.src, step.dst, step.ends):
+            if end - at == 1 and (dst - 2) // k + 1 == src:
+                first = k * (src - 1) + 2
+                assert dst == taken.find(0, first, first + k), (k, r, uid, src, dst)
+            taken[dst] = 1
+            at = end
+
+
 def test_alg3_fixtures():
     t = new(2, 2)
     s = alg3(t, t.root)
@@ -286,7 +314,8 @@ SLOW_FOLDS = [
 ]
 
 
-@pytest.mark.parametrize("name,k,r,uid,cost,steps,digest", SLOW_FOLDS)
+@pytest.mark.parametrize("name,k,r,uid,cost,steps,digest", SLOW_FOLDS,
+                         ids=pin_ids(SLOW_FOLDS))
 def test_slow_fold_schedules_unchanged(name, k, r, uid, cost, steps, digest):
     t = new(k, r)
     s = {"alg2": alg2, "alg3": alg3}[name](t, t.vertex_by_id(uid))

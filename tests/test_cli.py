@@ -159,8 +159,21 @@ def test_from_dict_rejects_a_bad_call(call, message):
      "'k' 2 and 'r' 0 make no tree: need k >= 2 and r >= 1"),
     ({"k": 2, "r": 63, "originator": 1, "steps": []},
      "'k' 2 and 'r' 63 make no tree: n=.* exceeds the 64-bit id range"),
+    ({"k": 2, "r": 1, "originator": 1, "steps": [], "deviations": "abc"},
+     "'deviations' is not a list of strings: 'abc'"),
+    ({"k": 2, "r": 1, "originator": 1, "steps": [], "deviations": 5},
+     "'deviations' is not a list of strings: 5"),
+    ({"k": 2, "r": 1, "originator": 1, "steps": [], "deviations": None},
+     "'deviations' is not a list of strings: None"),
+    ({"k": 2, "r": 1, "originator": 1, "steps": [], "deviations": ["a", 1]},
+     r"'deviations' is not a list of strings: \['a', 1\]"),
+    ({"k": 2, "r": 1, "originator": 1, "steps": [], "algorithm": 5},
+     "'algorithm' is not a string: 5"),
+    ({"k": 2, "r": 1, "originator": 1, "steps": [], "algorithm": ["alg1"]},
+     r"'algorithm' is not a string: \['alg1'\]"),
 ], ids=["no-steps", "bool-originator", "no-calls", "text-k", "float-k", "outside-originator",
-        "k-1", "r-0", "overflow"])
+        "k-1", "r-0", "overflow", "text-deviations", "number-deviations", "null-deviations",
+        "number-in-deviations", "number-algorithm", "list-algorithm"])
 def test_from_dict_rejects_a_bad_document(data, message):
     with pytest.raises(ScheduleFormatError, match=message):
         schedule_from_dict(data)
@@ -301,6 +314,13 @@ def test_run_fragment_bad_level(capsys):
     code, _, err = run_cli(capsys, "run", "--k", "2", "--r", "2",
                            "--alg", "tolevel:0")
     assert code == 1
+
+
+@pytest.mark.parametrize("alg", ["tolevel:--1", "fromlevel:²", "tolevel:x", "fromlevel:"])
+def test_run_fragment_level_must_be_an_integer(capsys, alg):
+    code, out, err = run_cli(capsys, "run", "--k", "2", "--r", "2", "--alg", alg)
+    assert code == 1 and out == ""
+    assert err == f"usage error: level {alg.partition(':')[2]!r} is not an integer\n"
 
 
 @pytest.mark.parametrize("alg", ["fromlevel:3", "fromlevel:-1"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from linebroadcast import Schedule, from_level, merge_upcalls, new, to_level, validate
 from linebroadcast.bounds import ceil_log2, fromlevel_cost, tolevel_upper
-from linebroadcast.errors import OutOfRange, PreconditionViolated
+from linebroadcast.errors import OutOfRange
 from linebroadcast import procedures
 from linebroadcast.procedures import _cbj_assign, _digit_reversals, _upcall_table
 
@@ -113,7 +113,7 @@ def test_to_level_k2_j1_exact_trace():
 def test_to_level_k3_j1():
     t = new(3, 1)
     frag = to_level(t, 1, t.root)
-    assert frag.duration() == 2
+    assert len(frag.steps) == 2
     assert frag.cost() == 4
     rep = validate(as_schedule(t, t.root, frag),
                    expected_informed={1} | level_ids(t, 1))
@@ -123,7 +123,7 @@ def test_to_level_k3_j1():
 def test_to_level_k2_j2():
     t = new(2, 2)
     frag = to_level(t, 2, t.root)
-    assert frag.duration() == 3
+    assert len(frag.steps) == 3
     assert frag.cost() <= 12
 
 
@@ -139,7 +139,7 @@ def test_to_level_rejects_bad_args():
 def test_to_level_doubling_duration_cost(k, j):
     t = new(k, j)
     frag = to_level(t, j, t.root)
-    assert frag.duration() == ceil_log2(k**j + 1)
+    assert len(frag.steps) == ceil_log2(k**j + 1)
     informed = 1
     for step_index, calls in enumerate(frag.steps, 1):
         informed += len(calls)
@@ -169,7 +169,7 @@ def test_to_level_counts_a_block_wider_than_a_byte(uid):
     frag = to_level(t, 1, u)
     rep = validate(as_schedule(t, u, frag), expected_informed={u.id} | level_ids(t, 1),
                    assume_informed={u.id})
-    assert rep.ok and frag.duration() == 9
+    assert rep.ok and len(frag.steps) == 9
 
 
 @st.composite
@@ -339,7 +339,7 @@ def test_from_level_exact_costs():
 def test_from_level_matches_formula_and_validates(k, j):
     t = new(k, j)
     frag = from_level(t, j, t.root)
-    assert frag.duration() == 1
+    assert len(frag.steps) == 1
     assert frag.cost() == fromlevel_cost(k, j, True)
     expected = set(range(1, t.n + 1)) - (level_ids(t, j) - set())
     expected = {1} | {v.id for lvl in range(j) for v in t.level_vertices(lvl)}
@@ -349,12 +349,6 @@ def test_from_level_matches_formula_and_validates(k, j):
         assume_informed=level_ids(t, j),
     )
     assert rep.ok, (k, j, rep.violations[:3])
-
-
-def test_from_level_precondition():
-    t = new(2, 2)
-    with pytest.raises(PreconditionViolated):
-        from_level(t, 2, t.root, informed={1, 4})
 
 
 # -- merge -------------------------------------------------------------------
@@ -369,7 +363,7 @@ def test_merge_upcalls_fits_final_step(k, r):
     frag = to_level(t, r, t.root)
     steps, deferred = merge_upcalls(t, r, t.root, frag.steps)
     assert len(deferred) == 0
-    assert len(steps) == frag.duration()
+    assert len(steps) == len(frag.steps)
     s = Schedule(t, t.root, "merged")
     for calls in steps:
         s.append_step(calls)
@@ -383,7 +377,7 @@ def test_merge_upcalls_defers_when_budget_allows():
     frag = to_level(t, 3, t.root)
     assert ceil_log2(5**3 + 1) < ceil_log2(t.n)
     steps, deferred = merge_upcalls(t, 3, t.root, frag.steps)
-    assert len(steps) == frag.duration()
+    assert len(steps) == len(frag.steps)
     total = sum(len(s) for s in steps) + len(deferred)
     assert total == sum(len(s) for s in frag.steps) + len(
         [row for row in upcall_rows(5, 3) if row[3] != 1]

@@ -25,7 +25,7 @@ def test_builder():
     s.append_step([])
     assert len(s.steps) == 2 and s.steps[1].calls == []
     s.append_step([call(t, 2, 3)])
-    assert s.steps[2].t == 3
+    assert len(s.steps) == 3
     assert s.steps[2].calls[0].cost == 2  # 2 -> 3 relays through the root
 
 
@@ -203,7 +203,7 @@ def test_step_packs_calls_and_reads_them_back():
     s = Schedule(t, t.root, "demo")
     s.append_step(calls)
     step = s.steps[0]
-    assert (step.t, len(step), step.cost()) == (1, 2, 5)
+    assert (len(step), step.cost()) == (2, 5)
     assert list(step.src) == [1, 4] and list(step.dst) == [2, 7]
     assert list(step.ends) == [1, 5] and list(step.edges) == [2, 4, 2, 3, 7]
     assert list(step.id_calls()) == [(1, 2, [2]), (4, 7, [4, 2, 3, 7])]
@@ -217,8 +217,7 @@ def test_append_step_shares_a_built_step():
     built.add(1, 2, (2,))
     s = Schedule(t, t.root, "demo")
     s.append_step(built).append_step(built)
-    assert [step.t for step in s.steps] == [1, 2]
-    assert built.t == 0 and s.steps[0].src is built.src
+    assert s.steps == [built, built] and s.steps[0] is built
     assert s.total_cost() == 2 and s.total_time() == 2
 
 
@@ -227,7 +226,7 @@ RELAYS = [(5, 6, [5, 6]), (8, 9, [8, 9]), (11, 12, [11, 12])]
 
 
 def relay_step():
-    step = Step(new(3, 2), 3)
+    step = Step(new(3, 2))
     for src, dst, path in RELAYS:
         step.add(src, dst, path)
     return step
@@ -236,7 +235,7 @@ def relay_step():
 def test_step_copy_leaves_the_original_unchanged():
     step = relay_step()
     copy = step.copy()
-    assert copy == step and copy.t == 3 and copy.tree is step.tree
+    assert copy == step and copy.tree is step.tree
     copy.add(2, 7, [7])
     copy.replace_call(0, 3, 10, [10])
     copy.replace_call(2, 7, 13, [7, 2, 4, 13])
