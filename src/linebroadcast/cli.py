@@ -77,6 +77,13 @@ def _integer(where: str, record: dict, field: str, what: str = "integer") -> int
     return value
 
 
+def _agrees(where: str, record: dict, field: str, rebuilt: int) -> None:
+    """Raise unless record[field], where present, is the int rebuilt."""
+    if field in record and _integer(where, record, field) != rebuilt:
+        raise ScheduleFormatError(
+            f"{where}: {field!r} is {record[field]}, but the rebuilt schedule has {rebuilt}")
+
+
 def _vertex(tree: CompleteKTree, where: str, record: dict, field: str) -> VertexRef:
     """The vertex whose id is record[field]."""
     vid = _integer(where, record, field, "integer id")
@@ -97,7 +104,13 @@ def _listed(where: str, record: dict, field: str) -> list:
 
 
 def schedule_from_dict(data: dict) -> Schedule:
-    """Rebuild a schedule from its JSON form, re-deriving and checking paths."""
+    """Rebuild a schedule from its JSON form, re-deriving and checking paths.
+
+    The fields derived from the calls ("n", each step's "t" and each call's
+    "cost", "total_time" and "total_cost") must, where present, agree with
+    the rebuilt schedule; "valid" is not checked, since nothing is validated
+    here.
+    """
     for field in ("k", "r", "originator", "steps"):
         if field not in data:
             raise ScheduleFormatError(f"schedule has no {field!r}")
@@ -106,6 +119,7 @@ def schedule_from_dict(data: dict) -> Schedule:
         tree = CompleteKTree(k, r)
     except (InvalidParams, Overflow) as exc:
         raise ScheduleFormatError(f"schedule: 'k' {k} and 'r' {r} make no tree: {exc}") from exc
+    _agrees("schedule", data, "n", tree.n)
     algorithm, deviations = data.get("algorithm", ""), data.get("deviations", [])
     if not isinstance(algorithm, str):
         raise ScheduleFormatError(f"schedule: 'algorithm' is not a string: {algorithm!r}")
@@ -117,6 +131,7 @@ def schedule_from_dict(data: dict) -> Schedule:
     for t, step in enumerate(_listed("schedule", data, "steps"), 1):
         if not isinstance(step, dict):
             raise ScheduleFormatError(f"step {t} is not an object: {step!r}")
+        _agrees(f"step {t}", step, "t", t)
         calls = []
         for c in _listed(f"step {t}", step, "calls"):
             if not isinstance(c, dict):
@@ -133,8 +148,11 @@ def schedule_from_dict(data: dict) -> Schedule:
             if path != given:
                 raise ScheduleFormatError(
                     f"path of {c['src']}->{c['dst']} is not the tree path")
+            _agrees(f"call {c}", c, "cost", len(path))
             calls.append(Call(src, dst, tuple(path)))
         sched.append_step(calls)
+    _agrees("schedule", data, "total_time", sched.total_time())
+    _agrees("schedule", data, "total_cost", sched.total_cost())
     return sched
 
 

@@ -11,19 +11,16 @@ A step's options come from one bottom-up pass over edge states, not from
 listing call sets. Within a step each tree edge carries nothing, one path up
 or one path down (unit-capacity routing on a tree), so the pass gives every
 reachable next informed set with the fewest edges any call set reaching it
-uses. The last step has one option, the full set, so it is priced by the
-same pass with every uninformed vertex a destination, keeping one cost per
-edge state. Each search node tries its options in the order of a lower
+uses. Each search node tries its options in the order of a lower
 bound and stops once that bound reaches its best value. An option's bound
 is its cost, plus one edge per vertex still uninformed, plus one more per
 leaf that its parent cannot reach in time: a one-edge call into a leaf
 comes from its parent, which sends at most once a step and only once
 informed, so a parent with more uninformed leaf children than steps left
 to send in leaves the rest to calls of two edges or more. The bound never
-exceeds the true cost, so the memo holds exact minima. The witness re-runs
-the pass with the step's destinations fixed, reads off every edge's state,
-and pairs senders with receivers where their paths meet to realize one
-call set at exactly that cost.
+exceeds the true cost, so the memo holds exact minima. A second pass, with
+the destinations fixed, keeps each edge state's cheapest choices: it prices
+the last step, whose one option is the full set, and builds the witness.
 """
 
 from __future__ import annotations
@@ -40,6 +37,9 @@ from .schedule import Schedule, Step, validate
 
 ORACLE_CAP = 21
 _INF = float("inf")
+# `_fixed`'s table for a leaf, by its choices: what its fold gives with no children
+_LEAF = {(0, 1): {0: (0, None, 0), 1: (1, None, 1)},
+         (-1,): {-1: (1, None, -1)}, (0,): {0: (0, None, 0)}}
 
 
 class _Searcher:
@@ -137,54 +137,68 @@ class _Searcher:
             tables[v] = table
         return {mask | dests: cost for dests, cost in tables[1].get(0, {}).items() if dests}
 
+    def _fixed(self, mask: int, nmask: int) -> list[dict[int, tuple]]:
+        """`step_options`' pass with the destinations fixed to nmask & ~mask.
+
+        tables[v] maps each state of the edge above v that a call set
+        reaches to (the fewest edges it uses inside v's subtree, its
+        children's states, linked last first as (the states before, the
+        last child's), and v's own choice), the first cheapest found.
+        """
+        kids = self.kids
+        # v's own choice: send once (+1) if informed, receive once (-1) if a destination
+        choices = [(0,)] + [(0, 1) if mask >> i & 1 else (-1,) if nmask >> i & 1 else (0,)
+                            for i in range(self.n)]
+        tables = [_LEAF[ch] for ch in choices]
+        for v in self._inner:
+            # a sum the remaining children cannot bring back within 2 is dropped
+            acc: dict[int, tuple] = {0: (0, None)}
+            left = len(kids[v])
+            for c in kids[v]:
+                left -= 1
+                nxt: dict[int, tuple] = {}
+                for bal, (cost, states) in acc.items():
+                    for state, (ccost, _, _) in tables[c].items():
+                        b = bal + state
+                        if -left - 2 <= b <= left + 2 and cost + ccost < nxt.get(b, (_INF,))[0]:
+                            nxt[b] = (cost + ccost, (states, state))
+                acc = nxt
+            table: dict[int, tuple] = {}
+            for bal, (cost, states) in acc.items():
+                for own in choices[v]:
+                    state = bal + own
+                    if state in (-1, 0, 1) and (v > 1 or state == 0):
+                        total = cost + (state != 0)
+                        if total < table.get(state, (_INF,))[0]:
+                            table[state] = (total, states, own)
+            tables[v] = table
+        return tables
+
     def realize(self, mask: int, nmask: int) -> list[tuple[int, int]]:
         """One cheapest edge-disjoint call set informing exactly nmask & ~mask.
 
-        The same pass with the destinations fixed keeps, per vertex and
-        parent-edge state, its children's states; read top-down, those give
-        every edge's state. Then, bottom-up, each vertex pairs the senders
-        and receivers whose paths meet there and passes the one left over,
-        if any, across the edge above it.
+        `_fixed`'s tables, read top-down from the root's state 0, give every
+        edge's state. Then, bottom-up, each vertex pairs the senders and
+        receivers whose paths meet there and passes the one left over, if
+        any, across the edge above it.
         """
         n, kids = self.n, self.kids
-        best: list[dict[int, tuple[int, tuple[int, ...], int]]] = [{} for _ in range(n + 1)]
-        for v in range(n, 0, -1):
-            acc: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
-            for c in kids[v]:
-                nxt: dict[int, tuple[int, tuple[int, ...]]] = {}
-                for bal, (cost, states) in acc.items():
-                    for state, (ccost, _, _) in best[c].items():
-                        total = cost + ccost
-                        if total < nxt.get(bal + state, (_INF,))[0]:
-                            nxt[bal + state] = (total, states + (state,))
-                acc = nxt
-            bit = 1 << (v - 1)
-            choices = (0, 1) if mask & bit else (-1,) if nmask & bit else (0,)
-            for bal, (cost, states) in acc.items():
-                for o in choices:
-                    state = bal + o
-                    if state not in (-1, 0, 1) or (v == 1 and state):
-                        continue
-                    total = cost + (state != 0)
-                    if total < best[v].get(state, (_INF,))[0]:
-                        best[v][state] = (total, states, o)
-
-        # top-down: every edge's state and every vertex's own choice
+        tables = self._fixed(mask, nmask)
         edge = [0] * (n + 1)
-        own = [0] * (n + 1)
         for v in range(1, n + 1):
-            _, states, own[v] = best[v][edge[v]]
-            for c, state in zip(kids[v], states):
-                edge[c] = state
+            states = tables[v][edge[v]][1]
+            for c in reversed(kids[v]):
+                states, edge[c] = states
         # bottom-up: the end of the one path crossing the edge above v
         crossing = [0] * (n + 1)
         calls = []
         for v in range(n, 0, -1):
             senders = [crossing[c] for c in kids[v] if edge[c] > 0]
             receivers = [crossing[c] for c in kids[v] if edge[c] < 0]
-            if own[v] > 0:
+            own = tables[v][edge[v]][2]
+            if own > 0:
                 senders.append(v)
-            elif own[v] < 0:
+            elif own < 0:
                 receivers.append(v)
             if edge[v] > 0:
                 crossing[v] = senders.pop()
@@ -194,38 +208,9 @@ class _Searcher:
         return sorted(calls)
 
     def last_step(self, mask: int) -> float:
-        """Fewest edges of one call set informing every vertex outside mask.
-
-        The scalar form of `realize`'s pass with every uninformed vertex a
-        destination: per vertex and parent-edge state, only the fewest edges
-        used inside the subtree. Infinite when no call set informs them all.
-        """
-        kids = self.kids
-        tables: list[dict[int, int]] = [{}] * (self.n + 1)
-        for v in range(self.n, 0, -1):
-            informed = mask >> (v - 1) & 1
-            acc = {0: 0}
-            left = len(kids[v])
-            for c in kids[v]:
-                left -= 1
-                nxt: dict[int, int] = {}
-                for bal, cost in acc.items():
-                    for state, ccost in tables[c].items():
-                        b = bal + state
-                        if -left - 2 <= b <= left + 2 and cost + ccost < nxt.get(b, _INF):
-                            nxt[b] = cost + ccost
-                acc = nxt
-            table: dict[int, int] = {}
-            for bal, cost in acc.items():
-                for own in (0, 1) if informed else (-1,):
-                    state = bal + own
-                    if state not in (-1, 0, 1) or (v == 1 and state):
-                        continue
-                    cost_here = cost + (state != 0)
-                    if cost_here < table.get(state, _INF):
-                        table[state] = cost_here
-            tables[v] = table
-        return tables[1].get(0, _INF)
+        """Fewest edges of one call set informing every vertex outside mask
+        (infinite if none does): `_fixed`'s cost with them all destinations."""
+        return self._fixed(mask, self.full)[1].get(0, (_INF,))[0]
 
     def floor(self, mask: int, steps_left: int) -> int:
         """A lower bound on `best(mask, steps_left)` that never exceeds it.

@@ -739,9 +739,6 @@ def merge_upcalls(
         lo = (t - 1) * k**i + 1
         return lo, lo + k**i - 1
 
-    # the informed level-j offsets, sorted, and the open fan-up calls
-    informed_offsets = sorted(vid - level_base for vid in informed_before
-                              if level_base < vid <= top)
     assignments = [row[1:5] for row in rows]
 
     def upcall_options(entry: tuple[int, int, int, int], skip_busy: set[int],
@@ -779,13 +776,13 @@ def merge_upcalls(
                 break
 
     # A fold state is a value: (the previous step or None, the final step's
-    # deliveries, the ids informed before the final step, the informed
-    # level-j offsets among them, sorted, and the open fan-up calls).
-    # Nothing below changes a state once it is built, and the first one
-    # holds the steps given.
-    def solve_fixed_batch(prev, batch, informed, pool, assigns):
+    # deliveries, the ids informed before the final step, and the open
+    # fan-up calls). Nothing below changes a state once it is built, and
+    # the first one holds the steps given.
+    def solve_fixed_batch(prev, batch, informed, assigns):
         """Upcalls only: one pick per entry of assigns (None where
         unplaced), against the fold state as given."""
+        pool = sorted(vid - level_base for vid in informed if level_base < vid <= top)
         pre_busy = set(batch.src)
         pre_edges = set(batch.edges)
         pre: dict[int, tuple[int, tuple[int, ...]]] = {}
@@ -819,7 +816,7 @@ def merge_upcalls(
             picks[pos] = p
         return picks
 
-    state = (prev, last, informed_before, informed_offsets, assignments)
+    state = (prev, last, informed_before, assignments)
     picks = solve_fixed_batch(*state)
 
     if any(p is None for p in picks) and prev is not None:
@@ -838,7 +835,7 @@ def merge_upcalls(
             covering) and whose level-j delivery an idle window sibling can
             run in the final step; None when no caller can. A caller whose
             delivery sources a final-step call keeps it."""
-            prev, batch, informed, pool, assigns = state
+            prev, batch, informed, assigns = state
             tid = entry[3]
             prev_edges = set(prev.edges)
             busy = set(batch.src)
@@ -858,9 +855,7 @@ def merge_upcalls(
                         moved = batch.copy()
                         moved.add(mover, did, (mover, did))
                         # did is informed a step later now, tid a step earlier
-                        at = bisect_left(pool, did - level_base)
                         return (pulled, moved, (informed - {did}) | {tid},
-                                pool[:at] + pool[at + 1:],
                                 [e for e in assigns if e is not entry])
             return None
 
@@ -892,7 +887,7 @@ def merge_upcalls(
             state, picks, _ = kept
         # otherwise no full fold: the first solve's picks stand
 
-    prev, batch, _, _, assigns = state
+    prev, batch, _, assigns = state
     final = batch.copy()
     deferred = Step(tree)
     for (_, _, leaf, tid), p in zip(assigns, picks):

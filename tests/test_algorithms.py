@@ -479,10 +479,13 @@ def test_root_lbckt_family_unchanged():
 
 def test_oracle_family_unchanged():
     """The optimal_cost witness from every originator of every tree with
-    n <= 13: the search's bound, last-step pass and canonical codes must
-    keep both the optima and the witnesses chosen."""
+    n <= 13, within ceil(log2 n) steps and within one and two more: the
+    search's bound, fixed-destination pass and canonical codes must keep
+    both the optima and the witnesses chosen."""
     assert _family_digest("oracle") == (
         "dc87d0032f698aad9e4cf80a3fb635f43c96014660d36d6d3b8cd62985ab6d0d", 108)
+    assert _family_digest("oracle-budgets") == (
+        "8bdb5dd2d6454d7975bf5f064d9479c1a3f9b7a7f8fdf3d59c83189ed461269d", 216)
 
 
 def test_lbckt_dispatch():

@@ -132,8 +132,12 @@ def test_from_dict_error_is_typed():
     ({"src": 2, "dst": True, "path": [2], "cost": 1}, "'dst' is not an integer id: True"),
     ([1, 2, [2]], r"call \[1, 2, \[2\]\] of step 1 is not an object"),
     ({"src": 1, "dst": 2, "path": 5, "cost": 1}, "'path' is not a list: 5"),
+    ({"src": 1, "dst": 2, "path": [2], "cost": None}, "'cost' is not an integer: None"),
+    ({"src": 1, "dst": 2, "path": [2], "cost": True}, "'cost' is not an integer: True"),
+    ({"src": 1, "dst": 2, "path": [2], "cost": 5},
+     "'cost' is 5, but the rebuilt schedule has 1"),
 ], ids=["no-dst", "to-itself", "outside-the-tree", "text-src", "float-src", "bool-dst",
-        "call-as-list", "number-path"])
+        "call-as-list", "number-path", "null-cost", "bool-cost", "wrong-cost"])
 def test_from_dict_rejects_a_bad_call(call, message):
     data = {
         "k": 2, "r": 2, "n": 7, "originator": 1, "algorithm": "x",
@@ -171,9 +175,28 @@ def test_from_dict_rejects_a_bad_call(call, message):
      "'algorithm' is not a string: 5"),
     ({"k": 2, "r": 1, "originator": 1, "steps": [], "algorithm": ["alg1"]},
      r"'algorithm' is not a string: \['alg1'\]"),
+    ({"k": 2, "r": 1, "originator": 1, "steps": [], "n": 99},
+     "schedule: 'n' is 99, but the rebuilt schedule has 3"),
+    ({"k": 2, "r": 1, "originator": 1, "steps": [], "n": True},
+     "schedule: 'n' is not an integer: True"),
+    ({"k": 2, "r": 1, "originator": 1, "steps": [{"t": 7, "calls": []}]},
+     "step 1: 't' is 7, but the rebuilt schedule has 1"),
+    ({"k": 2, "r": 1, "originator": 1, "steps": [{"t": 1, "calls": []}, {"t": "x", "calls": []}]},
+     "step 2: 't' is not an integer: 'x'"),
+    ({"k": 2, "r": 1, "originator": 1, "steps": [], "total_time": 9},
+     "schedule: 'total_time' is 9, but the rebuilt schedule has 0"),
+    ({"k": 2, "r": 1, "originator": 1, "steps": [], "total_time": 0.0},
+     "schedule: 'total_time' is not an integer: 0.0"),
+    ({"k": 2, "r": 1, "originator": 1, "total_cost": 0,
+      "steps": [{"t": 1, "calls": [{"src": 1, "dst": 2, "path": [2], "cost": 1}]}]},
+     "schedule: 'total_cost' is 0, but the rebuilt schedule has 1"),
+    ({"k": 2, "r": 1, "originator": 1, "steps": [], "total_cost": False},
+     "schedule: 'total_cost' is not an integer: False"),
 ], ids=["no-steps", "bool-originator", "no-calls", "text-k", "float-k", "outside-originator",
         "k-1", "r-0", "overflow", "text-deviations", "number-deviations", "null-deviations",
-        "number-in-deviations", "number-algorithm", "list-algorithm"])
+        "number-in-deviations", "number-algorithm", "list-algorithm", "wrong-n", "bool-n",
+        "wrong-t", "text-t", "wrong-total_time", "float-total_time", "wrong-total_cost",
+        "bool-total_cost"])
 def test_from_dict_rejects_a_bad_document(data, message):
     with pytest.raises(ScheduleFormatError, match=message):
         schedule_from_dict(data)

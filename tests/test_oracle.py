@@ -169,6 +169,34 @@ def test_witness_steps_realize_their_options(k, r):
         assert validate(witness).ok
 
 
+def assert_realizes_every_option(tree, searcher, mask):
+    """`realize` builds, for each of mask's step options, edge-disjoint
+    tree paths from distinct informed senders to exactly the vertices the
+    option informs, with as many edges in all as the option costs."""
+    for nmask, cost in searcher.step_options(mask).items():
+        calls = searcher.realize(mask, nmask)
+        senders = sum(1 << (s - 1) for s, _ in calls)
+        receivers = sum(1 << (d - 1) for _, d in calls)
+        assert senders & ~mask == 0 and senders.bit_count() == len(calls), (mask, nmask)
+        assert receivers == nmask & ~mask and receivers.bit_count() == len(calls), (mask, nmask)
+        edges = [e for s, d in calls for e in tree.climb(s, d)]
+        assert len(set(edges)) == len(edges) == cost, (mask, nmask)
+
+
+@pytest.mark.parametrize("k,r", SMALL_TREES)
+def test_realize_builds_every_step_option(k, r):
+    t = new(k, r)
+    searcher = _Searcher(t)
+    for mask in range(1, searcher.full):
+        assert_realizes_every_option(t, searcher, mask)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, (1 << _T32.n) - 2))
+def test_realize_builds_every_step_option_on_random_masks(mask):
+    assert_realizes_every_option(_T32, _Searcher(_T32), mask)
+
+
 @pytest.mark.parametrize("k,r,per_level", [(3, 2, [16, 16, 18]), (2, 3, [19, 19, 20, 22])])
 def test_optimum_per_originator_level(k, r, per_level):
     t = new(k, r)

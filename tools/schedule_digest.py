@@ -29,7 +29,9 @@ The families:
   * root-alg2, root-alg3, root-lbckt: each from the root at the 35 grid
     points;
   * oracle: the optimal_cost witness from every originator of every tree
-    with n <= 13, within the default budget of ceil(log2 n) steps.
+    with n <= 13, within the default budget of ceil(log2 n) steps;
+  * oracle-budgets: the same within ceil(log2 n) + 1 and + 2 steps, where
+    the witness takes steps that the default budget never picks.
 
 Each line gives the family, its digest, its schedule count and its time.
 """
@@ -46,6 +48,7 @@ from time import perf_counter
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from linebroadcast import CompleteKTree, alg1, alg2, alg3, lbckt, optimal_cost  # noqa: E402
+from linebroadcast.bounds import ceil_log2  # noqa: E402
 from linebroadcast.procedures import to_level  # noqa: E402
 
 
@@ -130,6 +133,14 @@ def families():
             for vid in range(1, tree.n + 1):
                 yield (k, r, vid), _schedule(optimal_cost(tree, tree.vertex_by_id(vid))[1])
 
+    def oracle_budgets():
+        for k, r in ORACLE:
+            tree = CompleteKTree(k, r)
+            for vid in range(1, tree.n + 1):
+                for budget in (ceil_log2(tree.n) + 1, ceil_log2(tree.n) + 2):
+                    witness = optimal_cost(tree, tree.vertex_by_id(vid), time_budget=budget)[1]
+                    yield (k, r, vid, budget), _schedule(witness)
+
     yield "small-alg1", small(alg1)
     yield "small-alg2", small(alg2)
     yield "small-alg3", small(alg3)
@@ -141,6 +152,7 @@ def families():
     yield "root-alg3", root(alg3)
     yield "root-lbckt", root(lbckt)
     yield "oracle", oracle()
+    yield "oracle-budgets", oracle_budgets()
 
 
 def digest(items) -> tuple[str, int]:
