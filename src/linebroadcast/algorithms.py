@@ -18,8 +18,9 @@ crosses (child,), and a vertex relaying to its sibling crosses (caller,
 sibling), with those edges tested against the step inline. Only the
 longer calls (the deep originator's assist, the stragglers, the closing
 call, the safety net) climb. Every builder writes its calls' ids and
-paths straight into array-backed steps (schedule.Step) and makes no Call
-or VertexRef.
+paths into array-backed steps (schedule.Step) through Step's two writers,
+a pass of feeds or relays at a time (Step.add_pass) or one call at a time
+(Step.add), and makes no Call or VertexRef.
 
 Most of those calls fall in stars of one shape repeated across a level,
 and these are written a run of families at a time, one strided range per
@@ -287,8 +288,8 @@ def _star_rounds(tree: CompleteKTree, u: VertexRef, informed: bytearray,
                             relay(wid)
                 lo = p + 1
             phase = fed + reps
-        step.add_child_calls(feed_src, feed_dst)
-        step.add_relays([relay_src, relay_dst])
+        step.add_pass(feed_src, [feed_dst])
+        step.add_pass(relay_src, [relay_src, relay_dst])
 
         # closing call: once only the root is missing, a level-1 vertex
         # hands it the message at cost 1 (if none can, a later step does)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import OutOfRange
+from .ktree import tree_size
 
 
 def ceil_log2(x: int) -> int:
@@ -22,12 +23,6 @@ def ceil_log2(x: int) -> int:
     if x < 1:
         raise OutOfRange(f"ceil_log2 needs x >= 1, got {x}")
     return (x - 1).bit_length()
-
-
-def tree_size(k: int, r: int) -> int:
-    if k < 2:
-        raise OutOfRange(f"need k >= 2, got k={k}")
-    return (k ** (r + 1) - 1) // (k - 1)
 
 
 @dataclass(frozen=True)
@@ -144,16 +139,13 @@ def tolevel_round_cost(k: int, j: int, m: int) -> Fraction:
     return Fraction(2 * (j - m + 1) * (k**m - k ** (m - 1) - saved))
 
 
-def fromlevel_cost(k: int, j: int, originator_is_root: bool = True) -> int:
-    """Exact cost of the one-step fan-up from level j to all shallower levels.
-
-    The call targeting the root is omitted when the originator is the root,
-    which removes one length-j path.
-    """
+def fromlevel_cost(k: int, j: int) -> int:
+    """Exact cost of the one-step fan-up from level j to all shallower
+    levels with the root as originator: the call to the root, one
+    length-j path, is omitted."""
     if k < 2 or j < 1:
         raise OutOfRange(f"need k >= 2 and j >= 1, got k={k}, j={j}")
-    total = sum(i * k ** (j - i) for i in range(1, j + 1))
-    return total - j if originator_is_root else total
+    return sum(i * k ** (j - i) for i in range(1, j + 1)) - j
 
 
 @dataclass
@@ -187,10 +179,10 @@ def report(k: int, r: int, leaf_originator: bool = False) -> BoundsReport:
         raise OutOfRange(f"need k >= 2 and r >= 1, got k={k}, r={r}")
     n = tree_size(k, r)
     tol = {r: tolevel_upper(k, r)}
-    fromc = {r: fromlevel_cost(k, r, True)}
+    fromc = {r: fromlevel_cost(k, r)}
     if r >= 2:
         tol[r - 1] = tolevel_upper(k, r - 1)
-        fromc[r - 1] = fromlevel_cost(k, r - 1, True)
+        fromc[r - 1] = fromlevel_cost(k, r - 1)
     return BoundsReport(
         k=k,
         r=r,

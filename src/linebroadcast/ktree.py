@@ -40,6 +40,20 @@ from .errors import (
 MAX_VERTICES = 2**63 - 1
 
 
+def tree_size(k: int, r: int) -> int:
+    """The vertex count (k**(r+1) - 1) / (k - 1), for k >= 2. Past
+    MAX_VERTICES it raises Overflow, before any power is taken when r >= 64
+    or, with r >= 1, k > MAX_VERTICES, so a huge r costs nothing."""
+    if k < 2:
+        raise OutOfRange(f"need k >= 2, got k={k}")
+    if r >= 64 or (r >= 1 and k > MAX_VERTICES):
+        raise Overflow(f"k={k}, r={r} gives n beyond the 64-bit id range")
+    n = (k ** (r + 1) - 1) // (k - 1)
+    if n > MAX_VERTICES:
+        raise Overflow(f"n={n} exceeds the 64-bit id range")
+    return n
+
+
 class VertexRef(NamedTuple):
     """A vertex as (level, offset) plus its breadth-first id.
 
@@ -65,12 +79,9 @@ class CompleteKTree:
                 raise InvalidParams(f"{name} must be an int, got {value!r}")
         if k < 2 or r < 1:
             raise InvalidParams(f"need k >= 2 and r >= 1, got k={k}, r={r}")
-        n = (k ** (r + 1) - 1) // (k - 1)
-        if n > MAX_VERTICES:
-            raise Overflow(f"n={n} exceeds the 64-bit id range")
         self.k = k
         self.r = r
-        self.n = n
+        self.n = tree_size(k, r)
         # _level_base[j] + offset == id of the vertex (j, offset)
         self._level_base = [(k**j - 1) // (k - 1) for j in range(r + 1)]
 

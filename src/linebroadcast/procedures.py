@@ -61,10 +61,11 @@ holds, per distance, the designated sources, the targets and the upward
 paths as strided ranges, so no path is climbed.
 
 Steps are schedule.Step arrays throughout: each procedure writes its calls'
-ids and paths straight into them, merge_upcalls reads the given steps'
-source, destination and edge arrays, and a trial pull works on copies of
-the last two steps (Step.copy, then Step.replace_call or Step.add). No
-Call or VertexRef is made here.
+ids and paths through Step's writers, to_level's runs a pass at a time
+(Step.add_pass) and every other call one at a time (Step.add),
+merge_upcalls reads the given steps' source, destination and edge arrays,
+and a trial pull works on copies of the last two steps (Step.copy, then
+Step.replace_call or Step.add). No Call or VertexRef is made here.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
         pool_sorted = False
 
         step = Step(tree)
-        src_ids, dst_ids, ends, edges = step.src, step.dst, step.ends, step.edges
+        dst_ids, ends, edges = step.dst, step.ends, step.edges
         used_sources: set[int] = set()
         used_edges: set[int] = set()
 
@@ -322,16 +323,12 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
         def match(q_off: int, lvl: int) -> bool:
             """The per-target rule at scale lvl: record the call along
             match_in_range's path, if there is one, up from the caller's
-            edge and down to q's. That is Step.add, written out, as this
-            runs once per call; those two edges need not be kept in use
+            edge and down to q's; those two edges need not be kept in use
             (see the docstring)."""
             path = match_in_range(q_off, lvl)
             if path is None:
                 return False
-            src_ids.append(path[0])
-            dst_ids.append(path[-1])
-            edges.extend(path)
-            ends.append(len(edges))
+            step.add(path[0], path[-1], path)
             used_sources.add(path[0])
             used_edges.update(path[1:-1])
             return True
@@ -416,7 +413,7 @@ def to_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
                     if lvl == j - 1 or used_sources.isdisjoint(run[0]):
                         used_sources.update(run[0])
                         used_edges.update(*run[1:-1])
-                        step.add_relays(run)
+                        step.add_pass(run[0], run)
                         continue
                     spoiled = True
                 for G in groups:
@@ -537,24 +534,26 @@ def from_level(tree: CompleteKTree, j: int, u: VertexRef) -> Fragment:
     base = tree.vertex_id(j, 1) - 1
     step = Step(tree)
     for i, (leaves, tids, paths) in enumerate(_upcall_table(tree.k, j), 1):
-        calls = list(zip(leaves, tids, paths))
-        if u.level == j - i:
-            del calls[u.offset - 1]  # no call to the originator
-        step.add_calls([base + leaf for leaf, _, _ in calls],
-                       [tid for _, tid, _ in calls], [path for _, _, path in calls])
+        skip = u.offset if u.level == j - i else 0  # no call to the originator
+        for t, (leaf, tid, path) in enumerate(zip(leaves, tids, paths), 1):
+            if t != skip:
+                step.add(base + leaf, tid, path)
     return Fragment([step])
+
+
+# the options _cbj_assign may try before it settles for first fit
+CBJ_BUDGET = 500_000
 
 
 def _cbj_assign(
     var_options: list[Iterable[tuple[int, tuple[int, ...]]]],
     fixed_edges: set[int],
-    budget: int = 500_000,
 ) -> list[tuple[int, tuple[int, ...]] | None]:
     """Pick one (source id, path) per variable, sources unique and paths
     pairwise edge-disjoint (and disjoint from fixed_edges), by backjumping.
 
     Each variable's options are read from its iterable only as far as the
-    search gets. They are tried in order, one budget unit each, as
+    search gets. They are tried in order, one unit of CBJ_BUDGET each, as
     bitmasks encoded on first try: a source or edge gets the next bit when
     first touched, and the edges of fixed_edges share bit 0, which is
     always occupied.
@@ -600,6 +599,7 @@ def _cbj_assign(
     conflict = [0] * n
     occupied = 1
 
+    budget = CBJ_BUDGET
     idx = 0
     while idx < n and budget > 0:
         masks = encoded[idx]
@@ -731,7 +731,8 @@ def merge_upcalls(
             and (prev is None or not len(prev)
                  or level_base < min(prev.dst) and max(prev.dst) <= top)):
         final = last.copy()
-        final.add_calls(sources, [row[4] for row in rows], paths)
+        for sid, row in zip(sources, rows):
+            final.add(sid, row[4], row[5])
         return steps[:-1] + [final], Step(tree)
 
     def subtree_span(i: int, t: int) -> tuple[int, int]:

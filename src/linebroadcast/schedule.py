@@ -17,16 +17,16 @@ Model conventions:
 A step is stored as four parallel arrays of signed 64-bit ints: the calls'
 source ids, their destination ids, the offset where each call's path ends
 in a flat edge buffer, and that buffer. A schedule of n vertices holds
-n - 1 calls, and this way it keeps no object per call. The builders append
-ids straight to a step (Step.add, or the same appends written out), and
-write a whole pass of one-edge calls to children, relays between
-vertices of one level, an edge at a time, or calls along given paths at
-once (Step.add_child_calls, Step.add_relays, Step.add_calls); a call
-already placed changes only through Step.replace_call, on the step itself
-or on a Step.copy. A Call, the NamedTuple (src, dst, path) of two
-VertexRefs and the edge ids in travel order, is a view: iterating a step,
-or Step.calls, builds one per call on demand, and Schedule.append_step
-packs a list of hand-made Calls into the arrays.
+n - 1 calls, and this way it keeps no object per call. Only Step writes
+its arrays, through two writers: Step.add records one call, and
+Step.add_pass a pass of calls of one path length, given an edge column at
+a time, as the builders' one-edge calls to children and relays between
+vertices of one level are. A call already placed changes only through
+Step.replace_call, on the step itself or on a Step.copy. A Call, the
+NamedTuple (src, dst, path) of two VertexRefs and the edge ids in travel
+order, is a view: iterating a step, or Step.calls, builds one per call on
+demand, and Schedule.append_step packs a list of hand-made Calls into the
+arrays.
 
 The validator is a total pass: it reports every violation it finds instead
 of stopping at the first one. It checks a step whole, with set operations
@@ -46,7 +46,6 @@ import enum
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice
 from typing import NamedTuple
 
 from .ktree import CompleteKTree, VertexRef
@@ -72,8 +71,10 @@ class Step:
 
     src[i] and dst[i] are call i's end ids, and its path is
     edges[ends[i - 1]:ends[i]] (from 0 for the first call). Its number is
-    its position in its schedule, from 1. Iterating a step gives its calls
-    as Call views, made with the tree's levels and offsets.
+    its position in its schedule, from 1. Calls are written by add, one at
+    a time, or by add_pass, a pass of one path length at a time, and only
+    replace_call changes one. Iterating a step gives its calls as Call
+    views, made with the tree's levels and offsets.
     """
 
     __slots__ = ("tree", "src", "dst", "ends", "edges")
@@ -92,39 +93,22 @@ class Step:
         self.edges.extend(path)
         self.ends.append(len(self.edges))
 
-    def add_child_calls(self, parents: list[int], children: list[int]) -> None:
-        """Record the calls parents[i] -> children[i], each along the child's
-        own edge, (children[i],)."""
-        at = len(self.edges)
-        self.src.fromlist(parents)
-        self.dst.fromlist(children)
-        self.ends.fromlist(list(range(at + 1, at + len(children) + 1)))
-        self.edges.fromlist(children)
-
-    def add_relays(self, paths: list[list[int]]) -> None:
-        """Record the calls along paths of one length, given an edge at a
-        time: call i runs along (paths[0][i], ..., paths[-1][i]), from
-        paths[0][i] to paths[-1][i], as a relay between two vertices of
-        one level does, up from the caller's edge and down to the
-        target's. With two lists the calls are sibling relays through
-        their common parent."""
-        width = len(paths)
-        flat = [0] * (width * len(paths[0]))
-        for i, column in enumerate(paths):
+    def add_pass(self, srcs: list[int], columns: list[list[int]]) -> None:
+        """Record a pass of calls of one path length, given an edge column
+        at a time: call i runs from srcs[i] along (columns[0][i], ...,
+        columns[-1][i]) and ends at columns[-1][i]. One column is a pass of
+        one-edge calls from parents to their children; a relay between two
+        vertices of one level passes its caller's id as its first edge and
+        as its source, up from the caller's edge and down to the target's."""
+        width = len(columns)
+        flat = [0] * (width * len(srcs))
+        for i, column in enumerate(columns):
             flat[i::width] = column
         at = len(self.edges)
-        self.src.fromlist(paths[0])
-        self.dst.fromlist(paths[-1])
+        self.src.fromlist(srcs)
+        self.dst.fromlist(columns[-1])
         self.ends.fromlist(list(range(at + width, at + len(flat) + 1, width)))
         self.edges.fromlist(flat)
-
-    def add_calls(self, srcs: list[int], dsts: list[int],
-                  paths: list[tuple[int, ...]]) -> None:
-        """Record the calls srcs[i] -> dsts[i] along paths[i]."""
-        self.src.fromlist(srcs)
-        self.dst.fromlist(dsts)
-        self.ends.extend(islice(accumulate(map(len, paths), initial=len(self.edges)), 1, None))
-        self.edges.extend(chain.from_iterable(paths))
 
     def copy(self) -> "Step":
         """A step with copies of the arrays, to change without changing this one."""

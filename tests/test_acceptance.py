@@ -132,12 +132,12 @@ def test_criterion_4_exact_procedure_costs():
     failures = []
     fixtures = {(2, 2): 2, (3, 2): 3, (2, 3): 8}
     for (k, j), expected in fixtures.items():
-        if fromlevel_cost(k, j, True) != expected:
+        if fromlevel_cost(k, j) != expected:
             failures.append(("fromlevel-fixture", k, j))
     for k, j in PROC_GRID:
         tree = new(k, j)
         frag = from_level(tree, j, tree.root)
-        if frag.cost() != fromlevel_cost(k, j, True):
+        if frag.cost() != fromlevel_cost(k, j):
             failures.append(("fromlevel-sim", k, j, frag.cost()))
         spread = to_level(tree, j, tree.root)
         ceiling = math.floor(tolevel_upper(k, j))

@@ -422,6 +422,13 @@ def test_small_to_level_family_unchanged():
         "1822c7d8ed87573ff140a89ef31d199a9382be0309446cc115b174f0f81be744", 7504)
 
 
+def test_small_from_level_family_unchanged():
+    """from_level from every level j and every originator of the same
+    trees: the one procedure no other family covers whole."""
+    assert _family_digest("small-from_level") == (
+        "5e81c4a3a0ecc5a297a3e72d8bd945189709bd0213a18db6655e2b75870e85ef", 7504)
+
+
 def test_wide_to_level_family_unchanged():
     """to_level to levels 1 and 2 from every originator at r = 2 and
     k = 9..16: the same pin past the grid's k <= 8."""

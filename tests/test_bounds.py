@@ -7,7 +7,7 @@ import pytest
 
 from linebroadcast import bounds
 from linebroadcast.algorithms import lbckt_case
-from linebroadcast.errors import OutOfRange
+from linebroadcast.errors import OutOfRange, Overflow
 
 GRID = [(k, r) for k in range(2, 9) for r in range(1, 6)]
 
@@ -27,6 +27,16 @@ def test_tree_size():
     assert bounds.tree_size(3, 1) == 4
     with pytest.raises(OutOfRange, match="k=1"):
         bounds.tree_size(1, 2)
+
+
+def test_tree_size_keeps_to_the_id_range():
+    assert bounds.tree_size(2, 62) == 2**63 - 1
+    with pytest.raises(Overflow, match="n=18446744073709551615 exceeds the 64-bit id range"):
+        bounds.tree_size(2, 63)
+    # told before any power is taken
+    for k, r in [(2, 64), (2, 10**6), (2**63, 1)]:
+        with pytest.raises(Overflow, match=f"k={k}, r={r} gives n beyond the 64-bit id range"):
+            bounds.tree_size(k, r)
 
 
 def test_farley():
@@ -72,10 +82,9 @@ def test_tolevel_upper_values():
 
 
 def test_fromlevel_cost_values():
-    assert bounds.fromlevel_cost(2, 2, True) == 2
-    assert bounds.fromlevel_cost(3, 2, True) == 3
-    assert bounds.fromlevel_cost(2, 3, True) == 8
-    assert bounds.fromlevel_cost(2, 2, False) == 4
+    assert bounds.fromlevel_cost(2, 2) == 2
+    assert bounds.fromlevel_cost(3, 2) == 3
+    assert bounds.fromlevel_cost(2, 3) == 8
 
 
 def test_fromlevel_closed_form_matches_sum():
@@ -83,7 +92,7 @@ def test_fromlevel_closed_form_matches_sum():
         for j in range(1, 6):
             total = sum(i * k ** (j - i) for i in range(1, j + 1))
             closed = Fraction(k ** (j + 1) - k * j - k + j, (k - 1) ** 2) - j
-            assert bounds.fromlevel_cost(k, j, True) == closed == total - j
+            assert bounds.fromlevel_cost(k, j) == closed == total - j
 
 
 def test_tolevel_round_cost_values():
@@ -106,7 +115,7 @@ def test_alg3_upper_is_tolevel_plus_fromlevel():
     for k in range(2, 9):
         for r in range(1, 6):
             assert bounds.alg3_upper(k, r) == (
-                bounds.tolevel_upper(k, r) + bounds.fromlevel_cost(k, r, True)
+                bounds.tolevel_upper(k, r) + bounds.fromlevel_cost(k, r)
             )
 
 

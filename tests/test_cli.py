@@ -221,6 +221,15 @@ def test_bounds_rejects_k_or_r_out_of_range(capsys, k, r):
     assert err == f"error: OutOfRange: need k >= 2 and r >= 1, got k={k}, r={r}\n"
 
 
+@pytest.mark.parametrize("r", ["63", "70", "20000", "300000"])
+def test_bounds_rejects_a_tree_past_the_id_range(capsys, r):
+    # bounds takes the trees the package can build, and tells the rest
+    # before taking any power
+    code, out, err = run_cli(capsys, "bounds", "--k", "2", "--r", r)
+    assert code == 1 and out == ""
+    assert err.startswith("error: Overflow: ") and "64-bit id range" in err
+
+
 def test_sweep_csv(tmp_path, capsys):
     out_path = tmp_path / "grid.csv"
     code, _, _ = run_cli(capsys, "sweep", "--k", "2..4", "--r", "1..3",

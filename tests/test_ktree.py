@@ -35,6 +35,8 @@ def test_params_must_be_ints(k, r):
 def test_overflow_guard():
     with pytest.raises(Overflow):
         new(2, 63)  # 2**64 - 1 vertices
+    with pytest.raises(Overflow):
+        new(2, 10**6)  # refused before the power is taken
 
 
 def test_vertex_id():

@@ -340,7 +340,7 @@ def test_from_level_matches_formula_and_validates(k, j):
     t = new(k, j)
     frag = from_level(t, j, t.root)
     assert len(frag.steps) == 1
-    assert frag.cost() == fromlevel_cost(k, j, True)
+    assert frag.cost() == fromlevel_cost(k, j)
     expected = set(range(1, t.n + 1)) - (level_ids(t, j) - set())
     expected = {1} | {v.id for lvl in range(j) for v in t.level_vertices(lvl)}
     rep = validate(
@@ -405,7 +405,7 @@ def test_merge_cost_is_tolevel_plus_fanup():
     steps, deferred = merge_upcalls(t, r, t.root, frag.steps)
     merged_cost = sum(c.cost for calls in steps for c in calls)
     assert len(deferred) == 0
-    assert merged_cost <= math.floor(tolevel_upper(k, r)) + fromlevel_cost(k, r, True)
+    assert merged_cost <= math.floor(tolevel_upper(k, r)) + fromlevel_cost(k, r)
 
 
 # -- the fold's shortcut ------------------------------------------------------
@@ -525,19 +525,21 @@ SKIP = [
 ]
 
 
-def test_cbj_backjump_skips_unrelated_variable():
+def test_cbj_backjump_skips_unrelated_variable(monkeypatch):
     solved = [(11, (2,)), (20, (5,)), (30, (1,))]
     assert _cbj_assign(SKIP, set()) == solved
     # six options tried: v0, v1, v2 (dead end), back over v1 to v0's second
     # option, then v1 and v2; backtracking through v1's other options first
     # would try ten
-    assert _cbj_assign(SKIP, set(), budget=7) == solved
+    monkeypatch.setattr(procedures, "CBJ_BUDGET", 7)
+    assert _cbj_assign(SKIP, set()) == solved
 
 
-def test_cbj_budget_out_returns_first_fit():
+def test_cbj_budget_out_returns_first_fit(monkeypatch):
     # the budget runs out on the option that completes the search, so its
     # answer is dropped for first fit
-    assert _cbj_assign(SKIP, set(), budget=6) == [(10, (1,)), (20, (5,)), None]
+    monkeypatch.setattr(procedures, "CBJ_BUDGET", 6)
+    assert _cbj_assign(SKIP, set()) == [(10, (1,)), (20, (5,)), None]
 
 
 def test_cbj_gives_up_on_fixed_edges_only():

@@ -262,11 +262,10 @@ def test_pass_writes_match_call_by_call_adds():
     """A pass written whole lands after the calls already in the step, as
     the same calls added one by one would."""
     whole, single = relay_step(), relay_step()
-    whole.add_child_calls([1, 2], [3, 6])
-    whole.add_relays([[5, 8], [6, 10]])
-    whole.add_child_calls([], [])
-    whole.add_relays([[], []])
-    whole.add_relays([[5, 9], [2, 3], [4, 2], [11, 6]])
+    whole.add_pass([1, 2], [[3, 6]])  # children, from their parents
+    whole.add_pass([5, 8], [[5, 8], [6, 10]])  # sibling relays
+    whole.add_pass([], [[]])
+    whole.add_pass([5, 9], [[5, 9], [2, 3], [4, 2], [11, 6]])  # cousin relays
     for src, dst, path in [(1, 3, [3]), (2, 6, [6]), (5, 6, [5, 6]), (8, 10, [8, 10]),
                            (5, 11, [5, 2, 4, 11]), (9, 6, [9, 3, 2, 6])]:
         single.add(src, dst, path)

@@ -14,8 +14,8 @@ The families:
 
   * small-alg1, small-alg2, small-alg3: each scheme from every originator
     on the 25 trees of the acceptance grid with n <= 400;
-  * small-to_level: to_level for every level j from every originator on
-    the same trees;
+  * small-to_level, small-from_level: to_level, and from_level, for every
+    level j from every originator on the same trees;
   * wide-to_level: the same at r = 2 and k = 9..16, past the grid's
     k <= 8;
   * wide-relays: to_level for j = 3..r from the root, the vertex (1, k),
@@ -49,7 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from linebroadcast import CompleteKTree, alg1, alg2, alg3, lbckt, optimal_cost  # noqa: E402
 from linebroadcast.bounds import ceil_log2  # noqa: E402
-from linebroadcast.procedures import to_level  # noqa: E402
+from linebroadcast.procedures import from_level, to_level  # noqa: E402
 
 
 def _size(k: int, r: int) -> int:
@@ -95,12 +95,12 @@ def families():
             for vid in range(1, tree.n + 1):
                 yield (k, r, vid), _schedule(builder(tree, tree.vertex_by_id(vid)))
 
-    def every_to_level(trees):
+    def every_level(procedure, trees):
         for k, r in trees:
             tree = CompleteKTree(k, r)
             for vid in range(1, tree.n + 1):
                 for j in range(1, r + 1):
-                    frag = to_level(tree, j, tree.vertex_by_id(vid))
+                    frag = procedure(tree, j, tree.vertex_by_id(vid))
                     yield (k, r, vid, j), _trace(frag.steps)
 
     def wide_relays():
@@ -144,8 +144,9 @@ def families():
     yield "small-alg1", small(alg1)
     yield "small-alg2", small(alg2)
     yield "small-alg3", small(alg3)
-    yield "small-to_level", every_to_level(SMALL)
-    yield "wide-to_level", every_to_level(WIDE)
+    yield "small-to_level", every_level(to_level, SMALL)
+    yield "small-from_level", every_level(from_level, SMALL)
+    yield "wide-to_level", every_level(to_level, WIDE)
     yield "wide-relays", wide_relays()
     yield "large-trees", large()
     yield "root-alg2", root(alg2)
@@ -178,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
             continue
         start = perf_counter()
         hexdigest, count = digest(items)
-        print(f"{name:15} {hexdigest} {count:6d} {perf_counter() - start:7.1f} s",
+        print(f"{name:16} {hexdigest} {count:6d} {perf_counter() - start:7.1f} s",
               flush=True)
     print(f"total {perf_counter() - total:.1f} s")
     return 0
